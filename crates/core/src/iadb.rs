@@ -7,6 +7,7 @@
 //! verbatim — the pass-through feature.
 
 use crate::neighbor::NeighborId;
+use bytes::Bytes;
 use dbgp_rib::PrefixTrie;
 use dbgp_wire::{Ia, Ipv4Prefix};
 use std::collections::BTreeMap;
@@ -35,6 +36,39 @@ impl IaDb {
     /// (implicit withdraw). Returns the replaced IA.
     pub fn insert(&mut self, neighbor: NeighborId, ia: Ia) -> Option<Arc<Ia>> {
         self.entries.entry(neighbor).or_default().insert(ia.prefix, Arc::new(ia))
+    }
+
+    /// Store an arriving IA like [`insert`](Self::insert), after making
+    /// its descriptor values and unknown records share the buffers this
+    /// database already holds for the prefix. Each value is compared
+    /// with the one at the same position in at most two held IAs:
+    /// `best` (the installed best path, if any) and the neighbor's
+    /// previous advertisement. A match reuses the held buffer; a miss
+    /// copies the value out of its wire frame once, so a stored IA never
+    /// pins a frame. No hash and no table beyond the database itself:
+    /// a pass-through value is held once per prefix however many
+    /// neighbors advertise it.
+    pub fn insert_shared(
+        &mut self,
+        neighbor: NeighborId,
+        mut ia: Ia,
+        best: Option<&Ia>,
+    ) -> Option<Arc<Ia>> {
+        let previous = self.get(neighbor, &ia.prefix);
+        let previous = previous.filter(|p| !best.is_some_and(|b| std::ptr::eq(*p, b)));
+        let held = [best, previous];
+        let held = || held.iter().flatten();
+        for (i, d) in ia.path_descriptors.iter_mut().enumerate() {
+            share(&mut d.value, held().filter_map(|h| h.path_descriptors.get(i)).map(|h| &h.value));
+        }
+        for (i, d) in ia.island_descriptors.iter_mut().enumerate() {
+            let held = held().filter_map(|h| h.island_descriptors.get(i)).map(|h| &h.value);
+            share(&mut d.value, held);
+        }
+        for (i, r) in ia.unknown_records.iter_mut().enumerate() {
+            share(&mut r.data, held().filter_map(|h| h.unknown_records.get(i)).map(|h| &h.data));
+        }
+        self.insert(neighbor, ia)
     }
 
     /// Remove the IA a neighbor advertised for a prefix.
@@ -102,6 +136,18 @@ impl IaDb {
     pub fn memory_bytes(&self) -> usize {
         self.entries.values().map(PrefixTrie::memory_bytes).sum()
     }
+}
+
+/// Point `value` at the first held buffer with the same bytes, or else
+/// at a private copy of it.
+fn share<'a>(value: &mut Bytes, held: impl Iterator<Item = &'a Bytes>) {
+    for h in held {
+        if h == value {
+            *value = h.clone();
+            return;
+        }
+    }
+    *value = Bytes::copy_from_slice(value);
 }
 
 #[cfg(test)]

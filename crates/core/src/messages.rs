@@ -35,18 +35,8 @@ impl DbgpUpdate {
 
     /// Encode to a self-delimiting frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        put_uvarint(&mut buf, self.withdrawn.len() as u64);
-        for prefix in &self.withdrawn {
-            prefix.encode(&mut buf);
-        }
-        put_uvarint(&mut buf, self.ias.len() as u64);
-        for ia in &self.ias {
-            let body = ia.encode();
-            put_uvarint(&mut buf, body.len() as u64);
-            buf.put_slice(&body);
-        }
-        buf.freeze()
+        let bodies: Vec<Bytes> = self.ias.iter().map(Ia::encode).collect();
+        Self::encode_frame(&self.withdrawn, &bodies)
     }
 
     /// Assemble the frame [`DbgpUpdate::encode`] would produce, from IA
@@ -55,7 +45,11 @@ impl DbgpUpdate {
     /// cached send path and a fresh one are indistinguishable on the
     /// wire.
     pub fn encode_frame(withdrawn: &[Ipv4Prefix], ia_bodies: &[Bytes]) -> Bytes {
-        let mut buf = BytesMut::new();
+        // Counts and lengths are varints of at most 10 bytes; a packed
+        // prefix is at most 5.
+        let capacity =
+            20 + withdrawn.len() * 5 + ia_bodies.iter().map(|body| body.len() + 10).sum::<usize>();
+        let mut buf = BytesMut::with_capacity(capacity);
         put_uvarint(&mut buf, withdrawn.len() as u64);
         for prefix in withdrawn {
             prefix.encode(&mut buf);
@@ -66,6 +60,29 @@ impl DbgpUpdate {
             buf.put_slice(body);
         }
         buf.freeze()
+    }
+
+    /// The frame `DbgpUpdate::announce(ia).encode()` produces, and the
+    /// IA body as a view into its tail: one allocation, and every
+    /// descriptor value copied once. The body is encoded behind reserved
+    /// headroom; the frame header goes into the headroom once the body's
+    /// length is known.
+    pub fn encode_announce(ia: &Ia) -> (Bytes, Bytes) {
+        // Withdrawn count 0, IA count 1, then a body length of at most
+        // 10 varint bytes.
+        const HEADROOM: usize = 12;
+        let mut buf = BytesMut::new();
+        buf.put_slice(&[0; HEADROOM]);
+        ia.encode_into(&mut buf);
+        let mut header = Vec::with_capacity(HEADROOM);
+        put_uvarint(&mut header, 0);
+        put_uvarint(&mut header, 1);
+        put_uvarint(&mut header, (buf.len() - HEADROOM) as u64);
+        let start = HEADROOM - header.len();
+        buf[start..HEADROOM].copy_from_slice(&header);
+        let frame = buf.freeze().slice(start..);
+        let body = frame.slice(header.len()..);
+        (frame, body)
     }
 
     /// Decode one frame (consumes exactly one update from `buf`).
@@ -153,6 +170,21 @@ mod tests {
         let bodies: Vec<Bytes> = update.ias.iter().map(Ia::encode).collect();
         let assembled = DbgpUpdate::encode_frame(&update.withdrawn, &bodies);
         assert_eq!(assembled, update.encode(), "cached-body assembly is byte-identical");
+    }
+
+    #[test]
+    fn encode_announce_is_one_buffer_matching_encode() {
+        let mut ia = sample_ia("128.6.0.0/16");
+        ia.path_descriptors.push(dbgp_wire::PathDescriptor::new(
+            dbgp_wire::ProtocolId(0x0BEE),
+            1,
+            vec![7u8; 40_000],
+        ));
+        let (frame, body) = DbgpUpdate::encode_announce(&ia);
+        assert_eq!(frame, DbgpUpdate::announce(ia.clone()).encode());
+        assert_eq!(body, ia.encode());
+        let tail = frame.len() - body.len();
+        assert_eq!(body.as_ptr(), frame[tail..].as_ptr(), "the body is the frame's tail");
     }
 
     #[test]

@@ -421,7 +421,7 @@ impl DbgpSpeaker {
         // change the selection — store it and skip the full scan.
         if self.incremental && self.arrival_cannot_win(from, &ia) {
             self.fast_path_hits += 1;
-            self.iadb.insert(from, ia);
+            self.store(from, ia);
             // With every export uniform, an unchanged best implies every
             // rebuilt outgoing IA is byte-identical and the Adj-RIB-Out
             // diff would suppress the whole fan-out — skip it. Otherwise
@@ -433,7 +433,7 @@ impl DbgpSpeaker {
             return out;
         }
         // (2) Store in the IA DB.
-        self.iadb.insert(from, ia);
+        self.store(from, ia);
         // (3)-(7) Extract, decide, build, filter, send.
         let changed = self.redecide(prefix, &mut out);
         // Even when the best path is unchanged, a new candidate can
@@ -489,6 +489,14 @@ impl DbgpSpeaker {
     }
 
     // ----- internals ----------------------------------------------------
+
+    /// Store an accepted arrival in the IA DB, sharing descriptor
+    /// buffers with the installed best path and the neighbor's previous
+    /// advertisement.
+    fn store(&mut self, from: NeighborId, ia: Ia) {
+        let best = self.loc.get(&ia.prefix).map(|c| &*c.ia);
+        self.iadb.insert_shared(from, ia, best);
+    }
 
     /// Returns whether the installed best path changed.
     fn redecide(&mut self, prefix: Ipv4Prefix, out: &mut Vec<DbgpOutput>) -> bool {
@@ -1376,5 +1384,53 @@ mod tests {
         // The full scan re-recorded the epoch; the fast path is live again.
         fast.receive_ia(NeighborId(2), hops_ia(3, &[3, 51, 53]));
         assert_eq!(fast.full_scans_avoided(), 2);
+    }
+
+    /// A carrier IA for 10/8 as a peer's frame delivers it: decoded, so
+    /// its descriptor is a view into the frame, which is returned too.
+    fn carrier_ia(first_hop: u32, value: &[u8]) -> (Ia, bytes::Bytes) {
+        let ia = Ia::builder(p("10.0.0.0/8"), nh(first_hop as u8))
+            .as_hop(first_hop)
+            .path_descriptor(ProtocolId(0x0BEE), 1, value.to_vec())
+            .build()
+            .unwrap();
+        let frame = ia.encode();
+        (Ia::decode(frame.clone()).unwrap(), frame)
+    }
+
+    #[test]
+    fn identical_descriptors_share_one_buffer() {
+        let prefix = p("10.0.0.0/8");
+        let value = vec![0xA5u8; 4096];
+        let mut differs = value.clone();
+        *differs.last_mut().unwrap() ^= 1;
+        let mut s = DbgpSpeaker::new(DbgpConfig::gulf(9));
+        for n in 0..3 {
+            s.add_neighbor(NeighborId(n), DbgpNeighbor::dbgp(n + 1));
+        }
+        let held = |s: &DbgpSpeaker, n: u32| {
+            s.iadb().get(NeighborId(n), &prefix).unwrap().path_descriptors[0].value.clone()
+        };
+        let mut frames = Vec::new();
+        for (n, v) in [(0, &value), (1, &value), (2, &differs)] {
+            let (ia, frame) = carrier_ia(n + 1, v);
+            s.receive_ia(NeighborId(n), ia);
+            frames.push(frame);
+        }
+        let (a, b, c) = (held(&s, 0), held(&s, 1), held(&s, 2));
+        assert_eq!(a.as_ptr(), b.as_ptr(), "two neighbors, one value: one buffer");
+        assert_ne!(c.as_ptr(), a.as_ptr(), "a value differing in its last byte has its own buffer");
+        for (frame, v) in frames.iter().zip([&a, &b, &c]) {
+            assert!(!frame.as_ptr_range().contains(&v.as_ptr()), "a stored value pins no frame");
+        }
+        // A re-advertisement shares the neighbor's previous buffer.
+        s.receive_ia(NeighborId(2), carrier_ia(3, &differs).0);
+        assert_eq!(held(&s, 2).as_ptr(), c.as_ptr());
+
+        drop((a, b, c));
+        s.receive_withdraw(NeighborId(0), prefix);
+        assert!(s.iadb().get(NeighborId(0), &prefix).is_none());
+        assert_eq!(held(&s, 1), value);
+        assert_eq!(held(&s, 2), differs);
     }
 }

@@ -98,7 +98,8 @@ impl Node {
     pub fn start(&mut self, now: Millis) -> Vec<NodeOutput> {
         let mut out = Vec::new();
         for id in self.peer_ids() {
-            let couts = self.cores.get_mut(&id).unwrap().start(now);
+            let Some(core) = self.cores.get_mut(&id) else { continue };
+            let couts = core.start(now);
             self.absorb(now, id, couts, &mut out);
         }
         out
@@ -165,7 +166,8 @@ impl Node {
     pub fn poll(&mut self, now: Millis) -> Vec<NodeOutput> {
         let mut out = Vec::new();
         for id in self.peer_ids() {
-            let couts = self.cores.get_mut(&id).unwrap().poll(now);
+            let Some(core) = self.cores.get_mut(&id) else { continue };
+            let couts = core.poll(now);
             self.absorb(now, id, couts, &mut out);
         }
         out
@@ -223,10 +225,10 @@ impl Node {
                 CoreOutput::Update(update) => {
                     let (ops, err) = self.routing.update(now, id, update);
                     self.absorb_ops(ops, out);
-                    if let Some(err) = err {
-                        let couts = self.cores.get_mut(&id).unwrap().fail_active(now, &err);
-                        self.absorb(now, id, couts, out);
-                    }
+                    let Some(err) = err else { continue };
+                    let Some(core) = self.cores.get_mut(&id) else { continue };
+                    let couts = core.fail_active(now, &err);
+                    self.absorb(now, id, couts, out);
                 }
             }
         }

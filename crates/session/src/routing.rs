@@ -7,9 +7,9 @@
 //! parsed [`UpdateMsg`]s and peer up/down edges, and it answers with
 //! [`RibOp`]s — UPDATEs to send (unencoded; the host picks the wire
 //! encoding per the peer's negotiated capabilities) and best-route
-//! changes for the host's FIB. Both the simulator's speaker and the
-//! `dbgpd` daemon wrap this same core, which is what makes the
-//! oracle-vs-daemon bit-match meaningful.
+//! changes for the host's FIB. The classic speaker (`dbgp-bgp`'s
+//! `Speaker`) and the `dbgpd` daemon wrap this core; the simulator does
+//! not, it drives `dbgp-core`'s `DbgpSpeaker`.
 
 use crate::config::{NeighborConfig, PeerId};
 use crate::decision::{self, Candidate, DecisionOptions};

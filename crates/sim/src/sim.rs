@@ -127,13 +127,8 @@ struct Node {
     pending_out: HashMap<NeighborId, BTreeMap<Ipv4Prefix, PendingAdvert>>,
     /// Neighbors with a Flush already scheduled.
     flush_armed: std::collections::HashSet<NeighborId>,
-    /// Adj-RIB-Out encode cache: wire bytes for an outgoing IA, keyed by
-    /// the `Arc`'s pointer identity (the speaker hands the *same* `Arc`
-    /// to every neighbor of a class and across re-advertisements of an
-    /// unchanged best path, so identity is exactly "same chosen-IA
-    /// generation"). Each entry pins its `Arc` so a recycled allocation
-    /// can never alias a live key.
-    encode_cache: PtrMap<EncodeCacheEntry>,
+    /// Adj-RIB-Out encode cache (see [`EncodeCache`]).
+    encode_cache: EncodeCache,
     /// Per-incarnation control-plane counters (see [`NodeCounters`]).
     counters: NodeCounters,
 }
@@ -303,20 +298,65 @@ impl std::hash::Hasher for PtrHasher {
 
 type PtrMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<PtrHasher>>;
 
-/// Cached wire form of one outgoing IA.
+/// Cached wire form of one outgoing IA: two views into one buffer.
 struct EncodeCacheEntry {
     /// Pins the IA so the pointer key stays unique while cached.
-    _ia: Arc<Ia>,
-    /// The encoded IA body (the unit batched frames are assembled from).
-    body: Bytes,
+    ia: Arc<Ia>,
     /// A ready-made single-IA announce frame (the common MRAI flush).
     announce: Bytes,
+    /// The encoded IA body, the tail of `announce` (the unit batched
+    /// frames are assembled from).
+    body: Bytes,
 }
 
 /// Entries per node before the encode cache is wiped (a crude bound; a
 /// routing table that cycles through this many distinct outgoing IAs
 /// inside one epoch is churning too hard to cache anyway).
 const ENCODE_CACHE_CAP: usize = 8192;
+
+/// Entry count below which the encode cache is never swept.
+const ENCODE_SWEEP_MIN: usize = 64;
+
+/// A node's Adj-RIB-Out encode cache: wire bytes for an outgoing IA,
+/// keyed by the `Arc`'s pointer identity (the speaker hands the *same*
+/// `Arc` to every neighbor of a class and across re-advertisements of
+/// an unchanged best path, so identity is exactly "same chosen-IA
+/// generation"). Each entry pins its `Arc` so a recycled allocation can
+/// never alias a live key.
+struct EncodeCache {
+    entries: PtrMap<EncodeCacheEntry>,
+    /// Inserts since the last wipe. The wipe point counts inserts, not
+    /// entries, so sweeping dead entries never moves it and the hit and
+    /// encode counts do not depend on the sweep.
+    inserts: usize,
+    /// Entry count at which dead entries are next swept: twice the live
+    /// count the last sweep left.
+    sweep_at: usize,
+}
+
+impl EncodeCache {
+    fn new() -> Self {
+        EncodeCache { entries: PtrMap::default(), inserts: 0, sweep_at: ENCODE_SWEEP_MIN }
+    }
+
+    fn get(&self, ia: &Arc<Ia>) -> Option<&EncodeCacheEntry> {
+        self.entries.get(&(Arc::as_ptr(ia) as usize))
+    }
+
+    fn insert(&mut self, entry: EncodeCacheEntry) {
+        if self.inserts >= ENCODE_CACHE_CAP {
+            *self = Self::new();
+        }
+        if self.entries.len() >= self.sweep_at {
+            // An entry whose `Arc` only the cache holds can never be hit
+            // again: no caller can present that pointer any more.
+            self.entries.retain(|_, e| Arc::strong_count(&e.ia) > 1);
+            self.sweep_at = (2 * self.entries.len()).max(ENCODE_SWEEP_MIN);
+        }
+        self.inserts += 1;
+        self.entries.insert(Arc::as_ptr(&entry.ia) as usize, entry);
+    }
+}
 
 /// One adjacency's static parameters plus its administrative state.
 #[derive(Debug, Clone, Copy)]
@@ -804,7 +844,7 @@ impl Sim {
             next_neighbor_id: 0,
             pending_out: HashMap::new(),
             flush_armed: std::collections::HashSet::new(),
-            encode_cache: PtrMap::default(),
+            encode_cache: EncodeCache::new(),
             counters: NodeCounters::default(),
         });
         id
@@ -835,6 +875,11 @@ impl Sim {
     /// Mutable access to a node's speaker (to register decision modules).
     pub fn speaker_mut(&mut self, node: NodeId) -> &mut DbgpSpeaker {
         &mut self.nodes[node].speaker
+    }
+
+    /// Encoded outgoing IAs the node's encode cache holds right now.
+    pub fn encode_cache_len(&self, node: NodeId) -> usize {
+        self.nodes[node].encode_cache.entries.len()
     }
 
     /// Statistics so far.
@@ -1181,7 +1226,7 @@ impl Sim {
         self.nodes[node].pending_out.clear();
         self.nodes[node].flush_armed.clear();
         self.nodes[node].oob_inbox.clear();
-        self.nodes[node].encode_cache.clear();
+        self.nodes[node].encode_cache = EncodeCache::new();
         self.staged_sends.remove(&node);
         for &(peer, same_island, speaks_dbgp) in &peers {
             self.establish(node, peer, same_island, speaks_dbgp, "node-restart", root);
@@ -2107,28 +2152,19 @@ impl Sim {
 
     /// The wire form of one outgoing IA, from the node's encode cache
     /// when the speaker has handed us this exact `Arc` before. Returns
-    /// `(body, announce_frame)` views into the shared cached buffers.
+    /// `(body, announce_frame)` views into the one cached buffer.
     fn cached_wire(&mut self, node: NodeId, ia: &Arc<Ia>) -> (Bytes, Bytes) {
-        let key = Arc::as_ptr(ia) as usize;
-        if let Some(entry) = self.nodes[node].encode_cache.get(&key) {
+        if let Some(entry) = self.nodes[node].encode_cache.get(ia) {
             self.stats.encode_cache_hits += 1;
             return (entry.body.clone(), entry.announce.clone());
         }
         self.stats.updates_encoded += 1;
-        let body = ia.encode();
-        let announce = DbgpUpdate::encode_frame(&[], std::slice::from_ref(&body));
-        let cache = &mut self.nodes[node].encode_cache;
-        if cache.len() >= ENCODE_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(
-            key,
-            EncodeCacheEntry {
-                _ia: Arc::clone(ia),
-                body: body.clone(),
-                announce: announce.clone(),
-            },
-        );
+        let (announce, body) = DbgpUpdate::encode_announce(ia);
+        self.nodes[node].encode_cache.insert(EncodeCacheEntry {
+            ia: Arc::clone(ia),
+            announce: announce.clone(),
+            body: body.clone(),
+        });
         (body, announce)
     }
 

@@ -117,20 +117,21 @@ pub struct PathDescriptor {
     /// Descriptor key, scoped to the owning protocol(s); see [`dkey`].
     pub key: u16,
     /// Opaque value, interpreted by the owning protocols' decision
-    /// modules.
-    pub value: Vec<u8>,
+    /// modules. Shared and immutable: cloning the descriptor (or the IA
+    /// holding it) bumps a refcount instead of copying the bytes.
+    pub value: Bytes,
 }
 
 impl PathDescriptor {
     /// A descriptor owned by a single protocol.
-    pub fn new(protocol: ProtocolId, key: u16, value: Vec<u8>) -> Self {
-        PathDescriptor { protocols: vec![protocol], key, value }
+    pub fn new(protocol: ProtocolId, key: u16, value: impl Into<Bytes>) -> Self {
+        PathDescriptor { protocols: vec![protocol], key, value: value.into() }
     }
 
     /// A descriptor shared by several protocols.
-    pub fn shared(protocols: Vec<ProtocolId>, key: u16, value: Vec<u8>) -> Self {
+    pub fn shared(protocols: Vec<ProtocolId>, key: u16, value: impl Into<Bytes>) -> Self {
         debug_assert!(!protocols.is_empty());
-        PathDescriptor { protocols, key, value }
+        PathDescriptor { protocols, key, value: value.into() }
     }
 
     /// Does `protocol` own (or co-own) this descriptor?
@@ -149,14 +150,14 @@ pub struct IslandDescriptor {
     pub protocol: ProtocolId,
     /// Descriptor key; see [`dkey`].
     pub key: u16,
-    /// Opaque value.
-    pub value: Vec<u8>,
+    /// Opaque value, shared and immutable like [`PathDescriptor::value`].
+    pub value: Bytes,
 }
 
 impl IslandDescriptor {
     /// Construct an island descriptor.
-    pub fn new(island: IslandId, protocol: ProtocolId, key: u16, value: Vec<u8>) -> Self {
-        IslandDescriptor { island, protocol, key, value }
+    pub fn new(island: IslandId, protocol: ProtocolId, key: u16, value: impl Into<Bytes>) -> Self {
+        IslandDescriptor { island, protocol, key, value: value.into() }
     }
 }
 
@@ -369,17 +370,26 @@ impl Ia {
 
     /// Encode to the TLV wire form.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_size_estimate());
+        let mut buf = BytesMut::new();
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Append the TLV wire form to `buf`. Only the small record headers
+    /// are staged; every descriptor value and unknown record is copied
+    /// once, straight into `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
+        buf.reserve(self.wire_size_estimate());
         let mut scratch = BytesMut::with_capacity(32);
         let s = &mut scratch;
-        put_record(&mut buf, s, tag::PREFIX, |b| self.prefix.encode(b));
-        put_record(&mut buf, s, tag::ORIGIN, |b| b.put_u8(self.origin as u8));
-        put_record(&mut buf, s, tag::NEXT_HOP, |b| b.put_u32(self.next_hop.0));
+        put_record(buf, s, tag::PREFIX, |b| self.prefix.encode(b));
+        put_record(buf, s, tag::ORIGIN, |b| b.put_u8(self.origin as u8));
+        put_record(buf, s, tag::NEXT_HOP, |b| b.put_u32(self.next_hop.0));
         if let Some(med) = self.med {
-            put_record(&mut buf, s, tag::MED, |b| put_uvarint(b, med as u64));
+            put_record(buf, s, tag::MED, |b| put_uvarint(b, med as u64));
         }
         for elem in &self.path_vector {
-            put_record(&mut buf, s, tag::PATH_ELEM, |b| match elem {
+            put_record(buf, s, tag::PATH_ELEM, |b| match elem {
                 PathElem::As(asn) => {
                     b.put_u8(0);
                     put_uvarint(b, *asn as u64);
@@ -398,41 +408,41 @@ impl Ia {
             });
         }
         for m in &self.memberships {
-            put_record(&mut buf, s, tag::MEMBERSHIP, |b| {
+            put_record(buf, s, tag::MEMBERSHIP, |b| {
                 put_uvarint(b, m.island.0 as u64);
                 put_uvarint(b, m.start as u64);
                 put_uvarint(b, m.end as u64);
             });
         }
         for d in &self.path_descriptors {
-            put_record(&mut buf, s, tag::PATH_DESC, |b| {
+            put_value_record(buf, s, tag::PATH_DESC, &d.value, |b| {
                 put_uvarint(b, d.protocols.len() as u64);
                 for p in &d.protocols {
                     put_uvarint(b, p.0 as u64);
                 }
                 put_uvarint(b, d.key as u64);
                 put_uvarint(b, d.value.len() as u64);
-                b.put_slice(&d.value);
             });
         }
         for d in &self.island_descriptors {
-            put_record(&mut buf, s, tag::ISLAND_DESC, |b| {
+            put_value_record(buf, s, tag::ISLAND_DESC, &d.value, |b| {
                 put_uvarint(b, d.island.0 as u64);
                 put_uvarint(b, d.protocol.0 as u64);
                 put_uvarint(b, d.key as u64);
                 put_uvarint(b, d.value.len() as u64);
-                b.put_slice(&d.value);
             });
         }
         for r in &self.unknown_records {
-            put_uvarint(&mut buf, r.tag);
-            put_uvarint(&mut buf, r.data.len() as u64);
+            put_uvarint(buf, r.tag);
+            put_uvarint(buf, r.data.len() as u64);
             buf.put_slice(&r.data);
         }
-        buf.freeze()
     }
 
-    /// Decode from the TLV wire form.
+    /// Decode from the TLV wire form. Descriptor values and unknown
+    /// records are views into `buf`'s allocation, not copies, so a
+    /// holder that outlives the frame should re-home them (the D-BGP
+    /// speaker's IA database does).
     pub fn decode(mut buf: Bytes) -> WireResult<Self> {
         let mut prefix = None;
         let mut origin = Origin::Incomplete;
@@ -513,7 +523,7 @@ impl Ia {
                     if body.remaining() < vlen {
                         return Err(WireError::MalformedIa("short descriptor value"));
                     }
-                    let value = body.split_to(vlen).to_vec();
+                    let value = body.split_to(vlen);
                     path_descriptors.push(PathDescriptor { protocols, key, value });
                 }
                 tag::ISLAND_DESC => {
@@ -524,7 +534,7 @@ impl Ia {
                     if body.remaining() < vlen {
                         return Err(WireError::MalformedIa("short island descriptor value"));
                     }
-                    let value = body.split_to(vlen).to_vec();
+                    let value = body.split_to(vlen);
                     island_descriptors.push(IslandDescriptor { island, protocol, key, value });
                 }
                 other => unknown_records.push(UnknownRecord { tag: other, data: body }),
@@ -553,11 +563,18 @@ impl Ia {
         self.encode().len()
     }
 
+    /// An upper bound on the encoded size of an IA without AS_SETs, so
+    /// encoding one allocates once.
     fn wire_size_estimate(&self) -> usize {
-        64 + self.path_vector.len() * 6
-            + self.path_descriptors.iter().map(|d| d.value.len() + 8).sum::<usize>()
-            + self.island_descriptors.iter().map(|d| d.value.len() + 12).sum::<usize>()
-            + self.unknown_records.iter().map(|r| r.data.len() + 4).sum::<usize>()
+        64 + self.path_vector.len() * 8
+            + self.memberships.len() * 14
+            + self
+                .path_descriptors
+                .iter()
+                .map(|d| d.value.len() + 3 * d.protocols.len() + 20)
+                .sum::<usize>()
+            + self.island_descriptors.iter().map(|d| d.value.len() + 24).sum::<usize>()
+            + self.unknown_records.iter().map(|r| r.data.len() + 20).sum::<usize>()
     }
 }
 
@@ -623,7 +640,12 @@ impl IaBuilder {
     }
 
     /// Attach a single-protocol path descriptor.
-    pub fn path_descriptor(mut self, protocol: ProtocolId, key: u16, value: Vec<u8>) -> Self {
+    pub fn path_descriptor(
+        mut self,
+        protocol: ProtocolId,
+        key: u16,
+        value: impl Into<Bytes>,
+    ) -> Self {
         self.ia.path_descriptors.push(PathDescriptor::new(protocol, key, value));
         self
     }
@@ -633,7 +655,7 @@ impl IaBuilder {
         mut self,
         protocols: Vec<ProtocolId>,
         key: u16,
-        value: Vec<u8>,
+        value: impl Into<Bytes>,
     ) -> Self {
         self.ia.path_descriptors.push(PathDescriptor::shared(protocols, key, value));
         self
@@ -645,7 +667,7 @@ impl IaBuilder {
         island: IslandId,
         protocol: ProtocolId,
         key: u16,
-        value: Vec<u8>,
+        value: impl Into<Bytes>,
     ) -> Self {
         self.ia.island_descriptors.push(IslandDescriptor::new(island, protocol, key, value));
         self
@@ -679,11 +701,24 @@ fn put_record(
     tag: u64,
     body: impl FnOnce(&mut BytesMut),
 ) {
+    put_value_record(buf, scratch, tag, &[], body);
+}
+
+/// Append one `tag | len | head value` record: only `head` is staged in
+/// `scratch`, and `value` is copied once, straight into `buf`.
+fn put_value_record(
+    buf: &mut BytesMut,
+    scratch: &mut BytesMut,
+    tag: u64,
+    value: &[u8],
+    head: impl FnOnce(&mut BytesMut),
+) {
     scratch.clear();
-    body(scratch);
+    head(scratch);
     put_uvarint(buf, tag);
-    put_uvarint(buf, scratch.len() as u64);
+    put_uvarint(buf, (scratch.len() + value.len()) as u64);
     buf.put_slice(scratch.as_slice());
+    buf.put_slice(value);
     debug_assert!(uvarint_len(tag) >= 1);
 }
 
@@ -889,6 +924,24 @@ mod tests {
         ia.unknown_records.push(UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") });
         let decoded = Ia::decode(ia.encode()).unwrap();
         assert_eq!(decoded.unknown_records, ia.unknown_records);
+    }
+
+    #[test]
+    fn decoded_values_are_views_into_the_frame() {
+        let mut ia = figure4_ia();
+        ia.unknown_records.push(UnknownRecord { tag: 4242, data: Bytes::from_static(b"future") });
+        let frame = ia.encode();
+        let decoded = Ia::decode(frame.clone()).unwrap();
+        let inside = frame.as_ptr_range();
+        let values = decoded.path_descriptors.iter().map(|d| &d.value);
+        let values = values.chain(decoded.island_descriptors.iter().map(|d| &d.value));
+        for value in values.chain(decoded.unknown_records.iter().map(|r| &r.data)) {
+            assert!(
+                inside.contains(&value.as_ptr()),
+                "value {value:?} was copied out of the frame"
+            );
+        }
+        assert_eq!(decoded.encode(), frame, "decode then encode is byte-identical");
     }
 
     #[test]

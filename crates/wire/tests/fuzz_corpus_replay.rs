@@ -128,7 +128,7 @@ fn seed_ia(rng: &mut TestRng) -> Ia {
         ia.path_descriptors.push(PathDescriptor::new(
             proto,
             rng.below(200) as u16,
-            (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect(),
+            (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
         ));
     }
     for _ in 0..rng.below(3) {
@@ -136,7 +136,7 @@ fn seed_ia(rng: &mut TestRng) -> Ia {
             IslandId(1 + rng.below(1000) as u32),
             ProtocolId(rng.below(2000) as u16),
             rng.below(200) as u16,
-            (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect(),
+            (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>(),
         ));
     }
     if rng.below(4) == 0 {
