@@ -3,51 +3,41 @@
 //!
 //! The baseline is load-bearing: the telemetry overhead budget (<3%
 //! events/sec on waxman-1000), the zero-copy speedup table and the
-//! parallel-engine speedups are all measured against it, so CI refuses
-//! a baseline document that silently lost a field or changed a type.
-//! `sim_bench --quick` (and `--validate-only`) calls
+//! Tier A scenario-sweep speedup are all measured against it, so CI
+//! refuses a baseline document that silently lost a field or changed a
+//! type. `sim_bench --quick` (and `--validate-only`) calls
 //! [`validate_sim_bench_schema`] and exits nonzero listing every
 //! problem found.
 //!
-//! Schema v5 (this revision) adds the convergence-hot-path accounting:
-//! every per-scenario record carries `full_scans_avoided` (decision
-//! fast-path hits of the incremental decision process) and
-//! `frames_coalesced` (always 0 on the classic scenarios, which run
-//! per-change); the `hier_50k` block gains the deterministic-coalescing
-//! leg (`mrai0_updates_encoded` vs `mrai0_coalesced_updates_encoded`,
-//! `frames_coalesced`, and the `coalesce_rib_match` bit asserting the
-//! packed stream converged to the identical RIB); the `fulltable` block
-//! gains `full_scans_avoided`; and two new top-level fields record the
-//! windowed engine's `serial_fallback_threshold` and the instrumented
-//! `phase_times` breakdown (decode/decide/encode/queue wall seconds on
-//! a serial waxman-1000 leg). v4 added the sharded-engine accounting
-//! (per-record shard count, `edge_cut_fraction`, the `hier_50k` block);
-//! v3 added the routing-table-scale `fulltable` block; v2 recorded both
-//! engine tiers per scenario; all of that is retained. Older documents
-//! — v1 through v4 — are rejected by tag *and* by field list, so a
-//! stale generator can't slip an old-shape document past CI.
+//! Schema v6 (this revision) records one timing per scenario: the
+//! simulator has a single event engine, so the v2–v5 parallel-engine
+//! columns (`wall_seconds_parallel`, `events_per_sec_parallel`,
+//! `parallel_speedup`, per-record `threads`/`shards`/
+//! `edge_cut_fraction`), the `hier_50k` sharded leg (`shards`,
+//! `edge_cut_fraction`, `events_per_shard`, `*_sharded`,
+//! `sharded_speedup`, `threads`) and the top-level
+//! `serial_fallback_threshold` are gone. Everything else is retained:
+//! v5's hot-path accounting (`full_scans_avoided`, `frames_coalesced`,
+//! the `hier_50k` coalescing leg, `phase_times`), v4's `hier_50k`
+//! block, v3's `fulltable` block, and the `tier_a` block with its
+//! `host_cpus`/`host_cpus_note` admission. Older documents — v1
+//! through v5 — are rejected by tag, so a stale generator can't slip
+//! an old-shape document past CI.
 
 use serde_json::Value;
 
 /// Schema identifier every `BENCH_sim.json` document must carry.
-pub const SIM_BENCH_SCHEMA: &str = "dbgp-sim-bench/v5";
+pub const SIM_BENCH_SCHEMA: &str = "dbgp-sim-bench/v6";
 
 /// Fields every per-scenario record must carry, with their types
-/// checked: `quiesced` is a bool; the wall-time, events-per-sec,
-/// speedup and edge-cut fields are floats; everything else an unsigned
-/// integer.
-pub const REQUIRED_METRICS: [&str; 20] = [
+/// checked: `quiesced` is a bool; the wall-time and events-per-sec
+/// fields are floats; everything else an unsigned integer.
+pub const REQUIRED_METRICS: [&str; 14] = [
     "nodes",
     "edges",
     "events",
-    "threads",
-    "shards",
-    "edge_cut_fraction",
     "wall_seconds_serial",
     "events_per_sec_serial",
-    "wall_seconds_parallel",
-    "events_per_sec_parallel",
-    "parallel_speedup",
     "messages",
     "bytes_delivered",
     "updates_encoded",
@@ -59,27 +49,17 @@ pub const REQUIRED_METRICS: [&str; 20] = [
     "quiesced",
 ];
 
-/// Fields the `hier_50k` block must carry. `events_per_shard` is an
-/// array of unsigned per-shard committed-event counts (its sum must
-/// equal `events`; the generator asserts that before writing). The
-/// `mrai0_*` pair comes from the coalescing leg: the same topology run
-/// per-change vs staged at `mrai = 0`, whose packed stream must encode
-/// fewer frames (`mrai0_coalesced_updates_encoded` <
-/// `mrai0_updates_encoded`) while converging to the identical RIB
-/// (`coalesce_rib_match`).
-pub const REQUIRED_HIER: [&str; 20] = [
+/// Fields the `hier_50k` block must carry. The `mrai0_*` pair comes
+/// from the coalescing leg: the same topology run per-change vs staged
+/// at `mrai = 0`, whose packed stream must encode fewer frames
+/// (`mrai0_coalesced_updates_encoded` < `mrai0_updates_encoded`) while
+/// converging to the identical RIB (`coalesce_rib_match`).
+pub const REQUIRED_HIER: [&str; 13] = [
     "nodes",
     "edges",
     "events",
-    "threads",
-    "shards",
-    "edge_cut_fraction",
-    "events_per_shard",
     "wall_seconds_serial",
     "events_per_sec_serial",
-    "wall_seconds_sharded",
-    "events_per_sec_sharded",
-    "sharded_speedup",
     "messages",
     "best_changes",
     "full_scans_avoided",
@@ -129,19 +109,9 @@ pub const REQUIRED_TIER_A: [&str; 6] = [
 fn field_ok(record: &Value, field: &str) -> bool {
     match field {
         "quiesced" | "coalesce_rib_match" => record.get(field).and_then(Value::as_bool).is_some(),
-        "wall_seconds_serial"
-        | "wall_seconds_parallel"
-        | "wall_seconds_sharded"
-        | "events_per_sec_serial"
-        | "events_per_sec_parallel"
-        | "events_per_sec_sharded"
-        | "parallel_speedup"
-        | "sharded_speedup"
-        | "edge_cut_fraction" => record.get(field).and_then(Value::as_f64).is_some(),
-        "events_per_shard" => record
-            .get(field)
-            .and_then(Value::as_array)
-            .is_some_and(|a| !a.is_empty() && a.iter().all(|v| v.as_u64().is_some())),
+        "wall_seconds_serial" | "events_per_sec_serial" => {
+            record.get(field).and_then(Value::as_f64).is_some()
+        }
         _ => record.get(field).and_then(Value::as_u64).is_some(),
     }
 }
@@ -163,7 +133,7 @@ pub fn validate_sim_bench_schema(doc: &Value) -> Vec<String> {
     if doc.get("seed").and_then(Value::as_u64).is_none() {
         problems.push("seed must be an unsigned integer".into());
     }
-    for field in ["threads", "host_cpus", "serial_fallback_threshold"] {
+    for field in ["threads", "host_cpus"] {
         if doc.get(field).and_then(Value::as_u64).is_none() {
             problems.push(format!("{field} must be an unsigned integer"));
         }
@@ -179,10 +149,10 @@ pub fn validate_sim_bench_schema(doc: &Value) -> Vec<String> {
         _ => problems.push("missing object block \"phase_times\"".into()),
     }
     // An oversubscribed recording host cannot measure parallel speedup:
-    // with fewer CPUs than worker threads the "parallel" and "sharded"
-    // columns are bookkeeping-overhead checks, not speedups. Such a
-    // document must say so next to the numbers, keyed by the CPU count
-    // that makes it true, so nobody (human or CI) reads ~1.0x as a
+    // with fewer CPUs than worker threads the Tier A "parallel" column
+    // is a bookkeeping-overhead check, not a speedup. Such a document
+    // must say so next to the numbers, keyed by the CPU count that
+    // makes it true, so nobody (human or CI) reads ~1.0x as a
     // regression or a win.
     let host_cpus = doc.get("host_cpus").and_then(Value::as_u64);
     let threads = doc.get("threads").and_then(Value::as_u64);
@@ -191,7 +161,7 @@ pub fn validate_sim_bench_schema(doc: &Value) -> Vec<String> {
             match doc.get("host_cpus_note").and_then(Value::as_str) {
                 Some(note) if !note.trim().is_empty() => {}
                 _ => problems.push(format!(
-                    "host_cpus={cpus} < threads={threads}: parallel/sharded timings are not \
+                    "host_cpus={cpus} < threads={threads}: the tier_a parallel timing is not \
                      measured speedup; a non-empty \"host_cpus_note\" string must say so \
                      (or re-record on a host with >= {threads} CPUs)"
                 )),
@@ -281,10 +251,7 @@ mod tests {
     fn record() -> Value {
         json!({
             "nodes": 50u64, "edges": 97u64, "events": 1000u64,
-            "threads": 4u64, "shards": 1u64, "edge_cut_fraction": 0.0f64,
             "wall_seconds_serial": 0.5f64, "events_per_sec_serial": 2000.0f64,
-            "wall_seconds_parallel": 0.25f64, "events_per_sec_parallel": 4000.0f64,
-            "parallel_speedup": 2.0f64,
             "messages": 10u64, "bytes_delivered": 100u64,
             "updates_encoded": 5u64, "encode_cache_hits": 3u64,
             "bytes_allocated": 4096u64, "best_changes": 7u64,
@@ -296,11 +263,7 @@ mod tests {
     fn hier_record() -> Value {
         json!({
             "nodes": 50_000u64, "edges": 78_000u64, "events": 2_000_000u64,
-            "threads": 4u64, "shards": 4u64, "edge_cut_fraction": 0.12f64,
-            "events_per_shard": [500_000u64, 500_000u64, 500_000u64, 500_000u64],
             "wall_seconds_serial": 20.0f64, "events_per_sec_serial": 100_000.0f64,
-            "wall_seconds_sharded": 10.0f64, "events_per_sec_sharded": 200_000.0f64,
-            "sharded_speedup": 2.0f64,
             "messages": 1_000_000u64, "best_changes": 100_000u64,
             "full_scans_avoided": 50_000u64,
             "mrai0_updates_encoded": 900_000u64,
@@ -346,7 +309,6 @@ mod tests {
             "seed": 42u64,
             "threads": 4u64,
             "host_cpus": 4u64,
-            "serial_fallback_threshold": 8u64,
             "phase_times": phase_times(),
             "baseline": { "waxman50_churn": record() },
             "current": { "waxman50_churn": record() },
@@ -458,10 +420,10 @@ mod tests {
         );
 
         let mut doc = valid_doc();
-        set(&mut doc, "baseline", "parallel_speedup", Value::String("2x".into()));
+        set(&mut doc, "baseline", "events_per_sec_serial", Value::String("2000/s".into()));
         assert_eq!(
             validate_sim_bench_schema(&doc),
-            vec!["baseline.waxman50_churn.parallel_speedup missing or mistyped"]
+            vec!["baseline.waxman50_churn.events_per_sec_serial missing or mistyped"]
         );
     }
 
@@ -542,10 +504,10 @@ mod tests {
     }
 
     /// The v3→v4 negative test: a document in the v3 shape — v3 tag,
-    /// fulltable block present, but no shard accounting on the records
-    /// and no `hier_50k` block — must be rejected by its tag, by the
-    /// missing per-record shard fields, and by the missing block, so a
-    /// pre-sharding generator can't pass the v4 validator.
+    /// fulltable block present, but no `hier_50k` block and none of the
+    /// per-record hot-path counters later generations added — must be
+    /// rejected by its tag, by the missing per-record fields, and by
+    /// the missing block, so a pre-hierarchy generator can't pass.
     #[test]
     fn a_v3_document_is_rejected() {
         let mut doc = valid_doc();
@@ -558,8 +520,8 @@ mod tests {
             }
         }
         for block in ["baseline", "current"] {
-            remove(&mut doc, block, "shards");
-            remove(&mut doc, block, "edge_cut_fraction");
+            remove(&mut doc, block, "full_scans_avoided");
+            remove(&mut doc, block, "frames_coalesced");
         }
         let problems = validate_sim_bench_schema(&doc);
         assert!(
@@ -567,8 +529,8 @@ mod tests {
             "v3 tag must be called out as outdated: {problems:?}"
         );
         assert!(
-            problems.iter().any(|p| p.contains("current.waxman50_churn.shards")),
-            "v3 records lack shard accounting: {problems:?}"
+            problems.iter().any(|p| p.contains("current.waxman50_churn.frames_coalesced")),
+            "v3 records lack the hot-path counters: {problems:?}"
         );
         assert!(
             problems.contains(&"missing object block \"hier_50k\"".to_string()),
@@ -580,14 +542,14 @@ mod tests {
     /// shard accounting and hier block present, but no hot-path
     /// accounting (`full_scans_avoided` / `frames_coalesced` on the
     /// records, no coalescing leg in `hier_50k`, no top-level
-    /// `phase_times` or `serial_fallback_threshold`) — must be rejected
-    /// by its tag AND by the missing fields, so a pre-incremental
-    /// generator can't pass the v5 validator.
+    /// `phase_times`) and here also missing `host_cpus` — must be
+    /// rejected by its tag AND by every missing field, so a
+    /// pre-incremental generator can't pass the validator.
     #[test]
     fn a_v4_document_is_rejected() {
         let mut doc = valid_doc();
         if let Some(o) = doc.as_object_mut() {
-            o.retain(|(k, _)| k != "phase_times" && k != "serial_fallback_threshold");
+            o.retain(|(k, _)| k != "phase_times" && k != "host_cpus");
             for slot in o.iter_mut() {
                 if slot.0 == "schema" {
                     slot.1 = Value::String("dbgp-sim-bench/v4".into());
@@ -637,8 +599,29 @@ mod tests {
             "the v4 shape lacks the phase_times block: {problems:?}"
         );
         assert!(
-            problems.contains(&"serial_fallback_threshold must be an unsigned integer".to_string()),
-            "the v4 shape lacks the fallback threshold: {problems:?}"
+            problems.contains(&"host_cpus must be an unsigned integer".to_string()),
+            "a missing top-level host_cpus is flagged: {problems:?}"
+        );
+    }
+
+    /// The v5→v6 negative test: a v5-tagged document is rejected by its
+    /// tag even when every v6 field is present, so a generator still
+    /// writing the parallel-engine columns can't pass.
+    #[test]
+    fn a_v5_document_is_rejected() {
+        let mut doc = valid_doc();
+        if let Some(o) = doc.as_object_mut() {
+            for slot in o.iter_mut() {
+                if slot.0 == "schema" {
+                    slot.1 = Value::String("dbgp-sim-bench/v5".into());
+                }
+            }
+        }
+        let problems = validate_sim_bench_schema(&doc);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].contains("outdated") && problems[0].contains("dbgp-sim-bench/v5"),
+            "v5 tag must be called out as outdated: {problems:?}"
         );
     }
 
@@ -670,18 +653,6 @@ mod tests {
                 "dropping {field} must be caught"
             );
         }
-        // A per-shard array with a mistyped element is rejected too.
-        let mut doc = valid_doc();
-        let rec = doc.get_mut("hier_50k").and_then(Value::as_object_mut).unwrap();
-        for slot in rec.iter_mut() {
-            if slot.0 == "events_per_shard" {
-                slot.1 = json!(["many", 2u64]);
-            }
-        }
-        assert_eq!(
-            validate_sim_bench_schema(&doc),
-            vec!["hier_50k.events_per_shard missing or mistyped".to_string()]
-        );
     }
 
     #[test]

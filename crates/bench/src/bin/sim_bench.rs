@@ -1,14 +1,8 @@
 //! Control-plane throughput baseline: events/sec, UPDATEs encoded, and
 //! bytes allocated for the waxman-50 churn, waxman-1000 convergence and
 //! waxman-5000 scale scenarios, tracked in a committed `BENCH_sim.json`.
-//!
-//! Every scenario is timed twice: once on the serial engine
-//! (`--threads 1`) and once on the lookahead-windowed parallel engine
-//! at the requested thread count. The two runs must agree on every
-//! simulated quantity (events, messages, bytes, churn) — that identity
-//! is asserted here on every invocation, so a determinism regression in
-//! the windowed engine fails the benchmark before it can record a
-//! number. Only wall time (and thus events/sec and speedup) may differ.
+//! Each scenario runs on the simulator's one (serial) event engine and
+//! is timed once per repeat, keeping the fastest repeat.
 //!
 //! Usage:
 //!   sim_bench                 run all scenarios, write `BENCH_sim.json`
@@ -21,12 +15,11 @@
 //!                             rewrites the committed baseline)
 //!   sim_bench --validate-only skip the scenarios entirely and just
 //!                             validate the baseline document's schema
-//!   sim_bench --hier-quick    run the 25×-shrunk hierarchical slice at
-//!                             the requested threads/shards and write
-//!                             `results/hier_quick.json` holding only
-//!                             simulated quantities — byte-identical
-//!                             across thread and shard counts, which the
-//!                             CI determinism job checks by sha256
+//!   sim_bench --hier-quick    run the 25×-shrunk hierarchical slice and
+//!                             write `results/hier_quick.json` holding
+//!                             only simulated quantities — a pure
+//!                             function of the seed, which CI diffs
+//!                             against the committed copy
 //!   sim_bench --phase-times   run only the instrumented serial
 //!                             waxman-1000 leg and print the per-phase
 //!                             wall-time breakdown (decode / decide /
@@ -34,19 +27,14 @@
 //!                             same breakdown as the document's
 //!                             top-level `phase_times` block
 //!   --bench-path <path>       validate <path> instead of BENCH_sim.json
-//!   --threads <N>             worker threads for the parallel runs
-//!                             (default `DBGP_THREADS`, else available
-//!                             parallelism); `--threads 1` keeps every
-//!                             run on the serial engine
-//!   --shards <K>              shard count for the hierarchical
-//!                             scenarios (default 4); the classic
-//!                             Waxman scenarios always run unsharded so
-//!                             their speedup history stays comparable
+//!   --threads <N>             worker threads for the Tier A seed
+//!                             sweep (default `DBGP_THREADS`, else
+//!                             available parallelism)
 //!
 //! A missing or mistyped required field in the baseline document is a
 //! hard failure: the exit code is nonzero and every problem is listed.
 //! Simulated quantities (events, messages, bytes, churn) are pure
-//! functions of the seed; wall-time, events/sec and parallel speedup
+//! functions of the seed; wall-time, events/sec and the Tier A speedup
 //! vary with the host (the recording host's CPU count is written into
 //! the document as `host_cpus`).
 
@@ -66,9 +54,8 @@ use serde_json::{json, Value};
 /// Byte-counting shim over the system allocator: `alloc`/grow sizes
 /// accumulate into [`ALLOCATED`] so scenarios can report allocation
 /// pressure, not just peak RSS. The counter is a relaxed atomic, so it
-/// stays coherent when the worker pool allocates from several threads
-/// at once; per-scenario deltas are only meaningful for serial runs
-/// (which is what the tracked `bytes_allocated` records).
+/// stays coherent when the Tier A worker pool allocates from several
+/// threads at once.
 struct CountingAlloc;
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
@@ -126,8 +113,7 @@ const FULLTABLE_BURST_EVENTS: usize = 400;
 const FULLTABLE_MAX_DECODE_NS: f64 = 1_000.0;
 const FULLTABLE_MIN_ROUTES_PER_SEC: f64 = 20_000.0;
 
-/// One timed run of a scenario (one engine, one thread count).
-#[derive(Clone)]
+/// One timed run of a scenario.
 struct RunMeasurement {
     nodes: usize,
     edges: usize,
@@ -139,12 +125,10 @@ struct RunMeasurement {
     quiesced: bool,
 }
 
-/// A scenario's serial + parallel measurement pair.
+/// A scenario's fastest timed run.
 struct ScenarioResult {
     name: &'static str,
-    threads: usize,
-    serial: RunMeasurement,
-    parallel: RunMeasurement,
+    run: RunMeasurement,
 }
 
 impl RunMeasurement {
@@ -158,31 +142,14 @@ impl RunMeasurement {
 }
 
 impl ScenarioResult {
-    fn parallel_speedup(&self) -> f64 {
-        if self.parallel.wall_seconds > 0.0 {
-            self.serial.wall_seconds / self.parallel.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
     fn to_json(&self) -> Value {
-        let s = &self.serial;
+        let s = &self.run;
         json!({
             "nodes": s.nodes as u64,
             "edges": s.edges as u64,
             "events": s.events,
-            "threads": self.threads as u64,
             "wall_seconds_serial": round6(s.wall_seconds),
             "events_per_sec_serial": round2(s.events_per_sec()),
-            "wall_seconds_parallel": round6(self.parallel.wall_seconds),
-            "events_per_sec_parallel": round2(self.parallel.events_per_sec()),
-            "parallel_speedup": round2(self.parallel_speedup()),
-            // Classic scenarios run unsharded (one event queue behind
-            // the router) so the recorded speedups stay comparable
-            // across baseline generations.
-            "shards": 1u64,
-            "edge_cut_fraction": 0.0f64,
             "messages": s.stats.messages,
             "bytes_delivered": s.stats.bytes,
             "updates_encoded": s.stats.updates_encoded,
@@ -222,12 +189,11 @@ fn measure_best_of(
     graph: &AsGraph,
     origins: usize,
     repeats: usize,
-    threads: usize,
     mut run: impl FnMut(&mut Sim) -> bool,
 ) -> RunMeasurement {
     let mut best: Option<RunMeasurement> = None;
     for _ in 0..repeats.max(1) {
-        let result = measure(graph, origins, threads, &mut run);
+        let result = measure(graph, origins, &mut run);
         if best.as_ref().is_none_or(|b| result.wall_seconds < b.wall_seconds) {
             best = Some(result);
         }
@@ -241,11 +207,9 @@ fn measure_best_of(
 fn measure(
     graph: &AsGraph,
     origins: usize,
-    threads: usize,
     mut run: impl FnMut(&mut Sim) -> bool,
 ) -> RunMeasurement {
     let mut sim = sim_from_graph(graph, 10);
-    sim.set_threads(threads);
     sim.set_seed(SEED);
     for node in 0..origins {
         sim.originate(node, origin_prefix(node));
@@ -267,76 +231,13 @@ fn measure(
     }
 }
 
-/// Time a scenario on the serial engine and on the windowed engine at
-/// `threads` workers, and assert the two runs are observationally
-/// identical (the Tier B determinism contract). At `threads == 1` the
-/// parallel leg is the serial leg.
-///
-/// The parallel leg runs *first*: whichever leg goes first pays the
-/// page-cache and allocator warm-up for the scenario's working set, so
-/// putting the serial leg second biases the recorded speedup downward
-/// — a reported speedup is never a warm-up artifact.
-fn scenario(
-    name: &'static str,
-    graph: &AsGraph,
-    origins: usize,
-    repeats: usize,
-    threads: usize,
-    mut run: impl FnMut(&mut Sim) -> bool,
-) -> ScenarioResult {
-    let parallel =
-        (threads > 1).then(|| measure_best_of(graph, origins, repeats, threads, &mut run));
-    let serial = measure_best_of(graph, origins, repeats, 1, &mut run);
-    let parallel = match parallel {
-        Some(p) => {
-            assert_runs_identical(name, threads, &serial, &p);
-            p
-        }
-        None => serial.clone(),
-    };
-    ScenarioResult { name, threads, serial, parallel }
-}
-
-/// The determinism gate: every simulated quantity must match between
-/// the serial and parallel runs. Wall time and allocation pressure are
-/// host-dependent and exempt.
-fn assert_runs_identical(
-    name: &str,
-    threads: usize,
-    serial: &RunMeasurement,
-    par: &RunMeasurement,
-) {
-    let digest = |r: &RunMeasurement| {
-        (
-            r.events,
-            r.stats.messages,
-            r.stats.bytes,
-            r.stats.updates_encoded,
-            r.stats.encode_cache_hits,
-            r.stats.best_changes,
-            r.stats.dropped_messages,
-            r.stats.duplicated_messages,
-            r.full_scans_avoided,
-            r.stats.frames_coalesced,
-            r.quiesced,
-        )
-    };
-    assert_eq!(
-        digest(serial),
-        digest(par),
-        "{name}: serial vs {threads}-thread runs diverged \
-         (events, messages, bytes, encodes, cache hits, churn, drops, dups, \
-          fast-path hits, coalesced frames, quiesced)"
-    );
-}
-
 /// Waxman-50 under a deterministic flap storm plus restarts — the
 /// acceptance scenario: re-advertisement churn is exactly what the
 /// encode cache and shared buffers accelerate.
-fn waxman50_churn(threads: usize) -> ScenarioResult {
+fn waxman50_churn() -> ScenarioResult {
     let graph = dbgp_topology::fixtures::waxman_50(SEED);
     // All 50 nodes originate: 50 prefixes of routing state per RIB.
-    scenario("waxman50_churn", &graph, 50, 3, threads, |sim| {
+    let run = measure_best_of(&graph, 50, 3, |sim| {
         sim.run(200_000_000);
         let edges: Vec<(usize, usize, bool)> = sim.links().collect();
         let mut plan = FaultPlan::new();
@@ -353,15 +254,16 @@ fn waxman50_churn(threads: usize) -> ScenarioResult {
         }
         let report = ScenarioRunner::new(3_000_000_000).run(sim, &plan);
         report.quiesced
-    })
+    });
+    ScenarioResult { name: "waxman50_churn", run }
 }
 
 /// Waxman-1000 convergence plus a light flap — the ROADMAP scale
 /// target. Twenty origins keep the multi-prefix load realistic without
 /// making the full run take minutes.
-fn waxman1000(threads: usize) -> ScenarioResult {
+fn waxman1000() -> ScenarioResult {
     let graph = waxman::generate(WaxmanParams::default(), SEED);
-    scenario("waxman1000", &graph, 20, 2, threads, |sim| {
+    let run = measure_best_of(&graph, 20, 2, |sim| {
         sim.run(4_000_000_000);
         let converged = sim.pending_events() == 0;
         let edges: Vec<(usize, usize, bool)> = sim.links().collect();
@@ -373,15 +275,16 @@ fn waxman1000(threads: usize) -> ScenarioResult {
             .node_restart(3, 4_200_000_000);
         let report = ScenarioRunner::new(8_000_000_000).run(sim, &plan);
         converged && report.quiesced
-    })
+    });
+    ScenarioResult { name: "waxman1000", run }
 }
 
 /// Waxman-5000 — the scale tier this PR adds. Convergence flooding at
 /// 5000 ASes plus a pair of flaps and a restart; twenty origins, one
 /// repeat (the run dominates the budget at this size).
-fn waxman5000(threads: usize) -> ScenarioResult {
+fn waxman5000() -> ScenarioResult {
     let graph = dbgp_topology::fixtures::waxman_5000(SEED);
-    scenario("waxman5000", &graph, 20, 1, threads, |sim| {
+    let run = measure_best_of(&graph, 20, 1, |sim| {
         sim.run(10_000_000_000);
         let converged = sim.pending_events() == 0;
         let edges: Vec<(usize, usize, bool)> = sim.links().collect();
@@ -393,7 +296,8 @@ fn waxman5000(threads: usize) -> ScenarioResult {
             .node_restart(3, 10_200_000_000);
         let report = ScenarioRunner::new(16_000_000_000).run(sim, &plan);
         converged && report.quiesced
-    })
+    });
+    ScenarioResult { name: "waxman5000", run }
 }
 
 /// Tier A timing: a multi-seed convergence sweep over waxman-50
@@ -411,8 +315,9 @@ fn tier_a_sweep(threads: usize) -> Value {
         sim.run(200_000_000);
         sim.events_processed()
     };
-    // Parallel sweep first, serial second — same warm-up bias as
-    // [`scenario`]: the recorded speedup is a floor, not an artifact.
+    // Parallel sweep first, serial second: whichever goes first pays
+    // the allocator and cache warm-up, so the recorded speedup is a
+    // floor, not a warm-up artifact.
     let pooled = (threads > 1).then(|| {
         let start = Instant::now();
         let swept = sweep_seeds(&seeds, threads, converge);
@@ -510,9 +415,6 @@ struct HierMeasurement {
     wall_seconds: f64,
     stats: dbgp_sim::SimStats,
     quiesced: bool,
-    shards: usize,
-    edge_cut_fraction: f64,
-    events_per_shard: Vec<u64>,
     full_scans_avoided: u64,
 }
 
@@ -527,26 +429,14 @@ impl HierMeasurement {
 }
 
 /// Build the valley-free sim over `topo`, run it to quiescence, and
-/// report. `shards > 1` routes events through per-shard calendar
-/// queues; with `threads > 1` as well, the sharded parallel engine
-/// commits the windows.
-fn run_hier(topo: &dbgp_topology::HierTopology, threads: usize, shards: usize) -> HierMeasurement {
+/// report.
+fn run_hier(topo: &dbgp_topology::HierTopology) -> HierMeasurement {
     let mut sim = dbgp_workload::policy::valley_free_sim(topo, SEED);
-    sim.set_threads(threads);
-    if shards > 1 {
-        sim.set_shards(shards);
-    }
     dbgp_workload::policy::originate_from_stubs(&mut sim, topo, HIER_ORIGINS);
     let start = Instant::now();
     sim.run(HIER_HORIZON);
     let wall_seconds = start.elapsed().as_secs_f64();
     let quiesced = sim.pending_events() == 0;
-    let events_per_shard = sim.shard_event_counts();
-    assert_eq!(
-        events_per_shard.iter().sum::<u64>(),
-        sim.events_processed(),
-        "per-shard commit counts must tile the total"
-    );
     HierMeasurement {
         nodes: sim.node_count(),
         edges: topo.edge_count(),
@@ -554,32 +444,8 @@ fn run_hier(topo: &dbgp_topology::HierTopology, threads: usize, shards: usize) -
         wall_seconds,
         stats: sim.stats(),
         quiesced,
-        shards: sim.shards(),
-        edge_cut_fraction: sim.edge_cut_fraction(),
-        events_per_shard,
         full_scans_avoided: sim.full_scans_avoided(),
     }
-}
-
-/// The hier determinism gate: serial and sharded legs must agree on
-/// every simulated quantity.
-fn assert_hier_identical(name: &str, serial: &HierMeasurement, sharded: &HierMeasurement) {
-    let digest = |r: &HierMeasurement| {
-        (
-            r.events,
-            r.stats.messages,
-            r.stats.bytes,
-            r.stats.best_changes,
-            r.full_scans_avoided,
-            r.quiesced,
-        )
-    };
-    assert_eq!(
-        digest(serial),
-        digest(sharded),
-        "{name}: serial vs sharded runs diverged \
-         (events, messages, bytes, churn, fast-path hits, quiesced)"
-    );
 }
 
 /// The converged routing outcome of a hierarchical run, rendered to one
@@ -644,11 +510,9 @@ fn hier_coalesce_leg(topo: &dbgp_topology::HierTopology) -> (u64, u64, u64, bool
     (soff.updates_encoded, son.updates_encoded, son.frames_coalesced, rib_match)
 }
 
-/// The 50,000-AS hierarchical scenario: serial leg (one thread, one
-/// queue) vs sharded leg at the requested thread/shard counts, plus the
-/// mrai-0 coalescing leg. As with [`scenario`], the sharded leg runs
-/// first so the serial leg gets the warm caches.
-fn hier_50k_scenario(threads: usize, shards: usize) -> Value {
+/// The 50,000-AS hierarchical scenario: one timed convergence run plus
+/// the mrai-0 coalescing leg.
+fn hier_50k_scenario() -> Value {
     let topo = dbgp_topology::fixtures::hier_50k(SEED);
     println!(
         "\nhier_50k: {} ASes, {} adjacencies ({} transit + {} peering)",
@@ -657,61 +521,42 @@ fn hier_50k_scenario(threads: usize, shards: usize) -> Value {
         topo.transit.edge_count(),
         topo.peering.len()
     );
-    let sharded = run_hier(&topo, threads, shards);
-    let serial = run_hier(&topo, 1, 1);
-    assert_hier_identical("hier_50k", &serial, &sharded);
-    if !serial.quiesced {
+    let m = run_hier(&topo);
+    if !m.quiesced {
         eprintln!("error: hier_50k failed to quiesce inside the horizon");
         std::process::exit(1);
     }
     println!(
-        "hier_50k: {} events, serial {:.2}s ({:.0} ev/s), sharded[{}x{}t] {:.2}s ({:.0} ev/s), \
-         edge cut {:.3}",
-        serial.events,
-        serial.wall_seconds,
-        serial.events_per_sec(),
-        sharded.shards,
-        threads,
-        sharded.wall_seconds,
-        sharded.events_per_sec(),
-        sharded.edge_cut_fraction,
+        "hier_50k: {} events, {:.2}s ({:.0} ev/s)",
+        m.events,
+        m.wall_seconds,
+        m.events_per_sec(),
     );
     let (mrai0_updates, mrai0_coalesced, frames_coalesced, rib_match) = hier_coalesce_leg(&topo);
     json!({
-        "nodes": serial.nodes as u64,
-        "edges": serial.edges as u64,
-        "events": serial.events,
-        "threads": threads as u64,
-        "shards": sharded.shards as u64,
-        "edge_cut_fraction": round6(sharded.edge_cut_fraction),
-        "events_per_shard": sharded.events_per_shard,
-        "wall_seconds_serial": round6(serial.wall_seconds),
-        "events_per_sec_serial": round2(serial.events_per_sec()),
-        "wall_seconds_sharded": round6(sharded.wall_seconds),
-        "events_per_sec_sharded": round2(sharded.events_per_sec()),
-        "sharded_speedup": round2(if sharded.wall_seconds > 0.0 {
-            serial.wall_seconds / sharded.wall_seconds
-        } else {
-            0.0
-        }),
-        "messages": serial.stats.messages,
-        "best_changes": serial.stats.best_changes,
-        "full_scans_avoided": serial.full_scans_avoided,
+        "nodes": m.nodes as u64,
+        "edges": m.edges as u64,
+        "events": m.events,
+        "wall_seconds_serial": round6(m.wall_seconds),
+        "events_per_sec_serial": round2(m.events_per_sec()),
+        "messages": m.stats.messages,
+        "best_changes": m.stats.best_changes,
+        "full_scans_avoided": m.full_scans_avoided,
         "mrai0_updates_encoded": mrai0_updates,
         "mrai0_coalesced_updates_encoded": mrai0_coalesced,
         "frames_coalesced": frames_coalesced,
         "coalesce_rib_match": rib_match,
-        "quiesced": serial.quiesced,
+        "quiesced": m.quiesced,
     })
 }
 
-/// `--hier-quick`: the 25×-shrunk hierarchy at the requested
-/// thread/shard counts, reported as simulated quantities only — the
-/// output file is a pure function of the seed and shard count, so the
-/// CI determinism job diffs its sha256 across thread counts.
-fn hier_quick(threads: usize, shards: usize) -> Value {
+/// `--hier-quick`: the 25×-shrunk hierarchy, reported as simulated
+/// quantities only — the output file is a pure function of the seed,
+/// so CI diffs a fresh run against the committed
+/// `results/hier_quick.json`.
+fn hier_quick() -> Value {
     let topo = dbgp_topology::fixtures::hier_2k(SEED);
-    let m = run_hier(&topo, threads, shards);
+    let m = run_hier(&topo);
     if !m.quiesced {
         eprintln!("error: hier_2k quick slice failed to quiesce");
         std::process::exit(1);
@@ -721,10 +566,7 @@ fn hier_quick(threads: usize, shards: usize) -> Value {
         "seed": SEED,
         "nodes": m.nodes as u64,
         "edges": m.edges as u64,
-        "shards": m.shards as u64,
-        "edge_cut_fraction": round6(m.edge_cut_fraction),
         "events": m.events,
-        "events_per_shard": m.events_per_shard,
         "messages": m.stats.messages,
         "bytes_delivered": m.stats.bytes,
         "best_changes": m.stats.best_changes,
@@ -733,9 +575,8 @@ fn hier_quick(threads: usize, shards: usize) -> Value {
     })
 }
 
-/// The instrumented hot-path breakdown: one serial waxman-1000
-/// convergence leg with per-phase timing on
-/// ([`Sim::enable_phase_timing`] pins the run to the serial engine),
+/// The instrumented hot-path breakdown: one waxman-1000 convergence
+/// leg with per-phase timing on ([`Sim::enable_phase_timing`]),
 /// reported as wall seconds per phase. Kept out of the timed scenario
 /// legs: the instrumentation costs a branch per site plus two clock
 /// reads per timed region, so the recorded throughput numbers never
@@ -776,56 +617,41 @@ fn phase_times_leg() -> Value {
     })
 }
 
-/// Upgrade a `dbgp-sim-bench/v1` scenario record (single `wall_seconds`
-/// / `events_per_sec`, no thread fields — always measured serially) to
-/// the v2 shape, so a baseline recorded before the parallel engine
-/// stays comparable.
-fn upgrade_v1_record(record: &Value) -> Value {
+/// Fields older schema generations recorded per scenario for the
+/// in-run parallel engines, which no longer exist.
+const RETIRED_RECORD_FIELDS: [&str; 6] = [
+    "threads",
+    "shards",
+    "edge_cut_fraction",
+    "wall_seconds_parallel",
+    "events_per_sec_parallel",
+    "parallel_speedup",
+];
+
+/// Bring a baseline scenario record from any earlier schema generation
+/// to the v6 shape, so a committed baseline stays comparable: v1's
+/// single `wall_seconds` / `events_per_sec` (always measured serially)
+/// become the `_serial` fields, the retired parallel-engine fields are
+/// dropped, and pre-v5 records (every decision a full scan, nothing
+/// ever coalesced) gain zero hot-path counters.
+fn upgrade_record(record: &Value) -> Value {
     let mut out: Vec<(String, Value)> = Vec::new();
     if let Some(fields) = record.as_object() {
         for (k, v) in fields {
             match k.as_str() {
-                "wall_seconds" => {
-                    out.push(("wall_seconds_serial".into(), v.clone()));
-                    out.push(("wall_seconds_parallel".into(), v.clone()));
-                }
-                "events_per_sec" => {
-                    out.push(("events_per_sec_serial".into(), v.clone()));
-                    out.push(("events_per_sec_parallel".into(), v.clone()));
-                }
-                _ => out.push((k.clone(), v.clone())),
+                "wall_seconds" => out.push(("wall_seconds_serial".into(), v.clone())),
+                "events_per_sec" => out.push(("events_per_sec_serial".into(), v.clone())),
+                k if RETIRED_RECORD_FIELDS.contains(&k) => {}
+                _ => out.push((k.to_string(), v.clone())),
             }
         }
     }
-    if record.get("threads").is_none() {
-        out.push(("threads".into(), Value::UInt(1)));
-        out.push(("parallel_speedup".into(), Value::Float(1.0)));
+    for counter in ["full_scans_avoided", "frames_coalesced"] {
+        if !out.iter().any(|(k, _)| k == counter) {
+            out.push((counter.into(), Value::UInt(0)));
+        }
     }
     Value::Object(out)
-}
-
-/// Upgrade a `dbgp-sim-bench/v3` scenario record (no shard accounting —
-/// always one queue, zero cut) to the v4 shape, and a v4 record (no
-/// hot-path accounting — every decision was a full scan, nothing ever
-/// coalesced) to the v5 shape, composing with the v1 upgrade so any
-/// committed baseline generation stays comparable.
-fn upgrade_record(record: &Value) -> Value {
-    let mut upgraded = upgrade_v1_record(record);
-    if let Some(fields) = upgraded.as_object_mut() {
-        if !fields.iter().any(|(k, _)| k == "shards") {
-            fields.push(("shards".into(), Value::UInt(1)));
-        }
-        if !fields.iter().any(|(k, _)| k == "edge_cut_fraction") {
-            fields.push(("edge_cut_fraction".into(), Value::Float(0.0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "full_scans_avoided") {
-            fields.push(("full_scans_avoided".into(), Value::UInt(0)));
-        }
-        if !fields.iter().any(|(k, _)| k == "frames_coalesced") {
-            fields.push(("frames_coalesced".into(), Value::UInt(0)));
-        }
-    }
-    upgraded
 }
 
 /// Validate the baseline document at `path`; exits the process with a
@@ -851,31 +677,27 @@ fn enforce_schema(path: &str) {
 
 fn print_table(results: &[ScenarioResult]) {
     println!(
-        "{:<16} {:>6} {:>6} {:>9} {:>12} {:>12} {:>8} {:>9} {:>10} {:>12} {:>8}",
+        "{:<16} {:>6} {:>6} {:>9} {:>12} {:>9} {:>10} {:>12} {:>8}",
         "scenario",
         "nodes",
         "edges",
         "events",
-        "ev/s serial",
-        "ev/s par",
-        "speedup",
+        "ev/s",
         "messages",
         "cachehit",
         "alloc MiB",
         "wall s"
     );
-    println!("{:-<120}", "");
+    println!("{:-<98}", "");
     for r in results {
-        let s = &r.serial;
+        let s = &r.run;
         println!(
-            "{:<16} {:>6} {:>6} {:>9} {:>12.0} {:>12.0} {:>8.2} {:>9} {:>10} {:>12.1} {:>8.3}",
+            "{:<16} {:>6} {:>6} {:>9} {:>12.0} {:>9} {:>10} {:>12.1} {:>8.3}",
             r.name,
             s.nodes,
             s.edges,
             s.events,
             s.events_per_sec(),
-            r.parallel.events_per_sec(),
-            r.parallel_speedup(),
             s.stats.messages,
             s.stats.encode_cache_hits,
             s.bytes_allocated as f64 / (1024.0 * 1024.0),
@@ -884,18 +706,17 @@ fn print_table(results: &[ScenarioResult]) {
     }
 }
 
-/// The PR 2 allocation regression gate (serial waxman-1000 run).
+/// The allocation regression gate (waxman-1000 run).
 fn enforce_alloc_budget(results: &[ScenarioResult]) {
     let Some(r) = results.iter().find(|r| r.name == "waxman1000") else {
         return;
     };
     let budget = WAXMAN1000_ALLOC_BASELINE + WAXMAN1000_ALLOC_BASELINE * ALLOC_SLACK_PERCENT / 100;
-    if r.serial.bytes_allocated > budget {
+    if r.run.bytes_allocated > budget {
         eprintln!(
-            "error: waxman1000 serial run allocated {} bytes, past the tracked \
-             budget of {WAXMAN1000_ALLOC_BASELINE} (+{ALLOC_SLACK_PERCENT}% slack); \
-             the windowed engine must not regress the allocation profile",
-            r.serial.bytes_allocated
+            "error: waxman1000 run allocated {} bytes, past the tracked \
+             budget of {WAXMAN1000_ALLOC_BASELINE} (+{ALLOC_SLACK_PERCENT}% slack)",
+            r.run.bytes_allocated
         );
         std::process::exit(1);
     }
@@ -925,16 +746,6 @@ fn main() {
             })
         })
         .unwrap_or_else(dbgp_par::configured_threads);
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1).and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(|| {
-                eprintln!("--shards needs a positive integer");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(4);
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     if validate_only {
@@ -943,11 +754,11 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--hier-quick") {
-        let doc = hier_quick(threads, shards);
+        let doc = hier_quick();
         std::fs::create_dir_all("results").ok();
         std::fs::write("results/hier_quick.json", serde_json::to_string_pretty(&doc).unwrap())
             .unwrap();
-        println!("(wrote results/hier_quick.json at {threads} threads, {shards} shards)");
+        println!("(wrote results/hier_quick.json)");
         return;
     }
 
@@ -957,13 +768,13 @@ fn main() {
     }
 
     println!("threads {threads}, host cpus {host_cpus}\n");
-    let mut results = vec![waxman50_churn(threads)];
+    let mut results = vec![waxman50_churn()];
     if !quick {
-        results.push(waxman1000(threads));
-        results.push(waxman5000(threads));
+        results.push(waxman1000());
+        results.push(waxman5000());
     }
     print_table(&results);
-    if results.iter().any(|r| !r.serial.quiesced) {
+    if results.iter().any(|r| !r.run.quiesced) {
         eprintln!("error: a scenario failed to quiesce; refusing to record metrics");
         std::process::exit(1);
     }
@@ -986,7 +797,6 @@ fn main() {
             "seed": SEED,
             "threads": threads as u64,
             "host_cpus": host_cpus as u64,
-            "serial_fallback_threshold": Sim::SERIAL_FALLBACK_THRESHOLD as u64,
             "current": current,
             "fulltable": { "fulltable_100k": fulltable_json(&ft) },
         });
@@ -999,7 +809,7 @@ fn main() {
 
     let tier_a = tier_a_sweep(threads);
     let ft = fulltable_100k();
-    let hier = hier_50k_scenario(threads, shards);
+    let hier = hier_50k_scenario();
     let phase_times = phase_times_leg();
 
     // Full mode: keep the recorded baseline (the pre-optimization
@@ -1035,10 +845,6 @@ fn main() {
         "seed": SEED,
         "threads": threads as u64,
         "host_cpus": host_cpus as u64,
-        // The windowed engine's permanent serial-drain trigger: windows
-        // under this many delivers (for SERIAL_FALLBACK_WINDOWS in a
-        // row) drop the run back to the serial path.
-        "serial_fallback_threshold": Sim::SERIAL_FALLBACK_THRESHOLD as u64,
         "phase_times": phase_times,
         "baseline": baseline,
         "current": current,
@@ -1049,12 +855,12 @@ fn main() {
     });
     if (host_cpus as u64) < threads as u64 {
         // The validator requires this admission: with fewer CPUs than
-        // worker threads, the parallel/sharded columns verify overhead
-        // and determinism, they do not measure speedup.
+        // worker threads, the Tier A parallel column verifies overhead
+        // and determinism, it does not measure speedup.
         let note = format!(
-            "host_cpus={host_cpus} < threads={threads}: parallel and sharded timings were \
-             recorded on an oversubscribed host and are determinism/overhead checks, not \
-             measured speedup; re-record on a host with >= {threads} CPUs before quoting them"
+            "host_cpus={host_cpus} < threads={threads}: the tier_a parallel timing was \
+             recorded on an oversubscribed host and is a determinism/overhead check, not \
+             measured speedup; re-record on a host with >= {threads} CPUs before quoting it"
         );
         if let Some(o) = doc.as_object_mut() {
             // Keep it next to host_cpus (slot 4) so readers see it.

@@ -13,8 +13,7 @@ use serde_json::Value;
 
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/chaos.json");
 
-/// SHA-256 of the committed `results/chaos.json`, pinned when the
-/// lookahead-windowed parallel engine landed. `chaos_table` must
+/// SHA-256 of the committed `results/chaos.json`. `chaos_table` must
 /// reproduce this artifact byte-for-byte at *any* `--threads` count —
 /// scenario rows fan out on the worker pool (Tier A) and each row's
 /// simulation replays deterministically — so a changed hash means a

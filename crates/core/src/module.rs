@@ -57,12 +57,7 @@ pub struct ExportContext {
 /// baseline [`BgpDecision`]. The paper's observation that deploying a new
 /// protocol takes a few hundred lines (§6.1) corresponds to implementing
 /// this trait.
-///
-/// `Send` is a supertrait: the simulator's windowed parallel engine moves
-/// per-node speaker work (and therefore boxed modules) across worker
-/// threads, one node per thread at a time. Modules are plain owned state
-/// machines, so this costs implementors nothing.
-pub trait DecisionModule: Send {
+pub trait DecisionModule {
     /// The protocol this module decides for.
     fn protocol(&self) -> ProtocolId;
 

@@ -21,10 +21,6 @@
 //! - [`configured_threads`]: the process-wide thread-count knob. CLI
 //!   `--threads N` flags and the `DBGP_THREADS` environment variable both
 //!   funnel through here; `1` means "use the existing serial paths".
-//! - [`partition`] / [`ShardChannel`]: METIS-lite greedy edge-cut
-//!   sharding of a node/link graph, plus the window-boundary mailboxes
-//!   the sharded engine in `dbgp-sim` exchanges cross-shard events
-//!   through.
 //!
 //! # The ordered-reduce contract
 //!
@@ -41,10 +37,6 @@ use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-
-mod shard;
-
-pub use shard::{partition, partition_weighted, Partition, ShardChannel};
 
 /// A unit of work queued on the pool. Lifetime-erased: see the safety
 /// comment in [`Pool::run_batch`].

@@ -16,7 +16,7 @@
 //! construction sequence and seed — the property the `dbgp-chaos` crate
 //! builds its fault-injection harness on.
 
-use crate::engine::{EventRouter, Routable, SimTime};
+use crate::engine::{EventQueue, SimTime};
 use crate::link::LinkModel;
 use crate::link::SimRng;
 use bytes::Bytes;
@@ -72,21 +72,6 @@ enum Event {
     OobResponse { to: NodeId, from_addr: Ipv4Addr, payload: Vec<u8> },
 }
 
-impl Routable for Event {
-    /// Shard affinity: wire and flush events are pinned to the node
-    /// whose state they mutate; out-of-band requests address a service,
-    /// not a node, and ride on shard 0 (the sharded engine never runs
-    /// with out-of-band traffic anyway — see [`Sim::run`]).
-    fn route_node(&self) -> Option<usize> {
-        match self {
-            Event::Deliver { to, .. } => Some(*to),
-            Event::Flush { node, .. } => Some(*node),
-            Event::OobRequest { .. } => None,
-            Event::OobResponse { to, .. } => Some(*to),
-        }
-    }
-}
-
 /// A service reachable over the out-of-band bus (the paper's portals and
 /// lookup services, §3.4, §5).
 pub enum Service {
@@ -131,77 +116,6 @@ struct Node {
     encode_cache: EncodeCache,
     /// Per-incarnation control-plane counters (see [`NodeCounters`]).
     counters: NodeCounters,
-}
-
-/// A raw pointer to one [`Node`], handed to exactly one pool worker per
-/// window by the Tier B engine.
-///
-/// # Safety
-///
-/// `Node` is not automatically `Send` because `DbgpSpeaker` holds a
-/// [`SinkHandle`] (an `Option<Rc<dyn TelemetrySink>>`). The parallel
-/// engine only runs when `Sim::parallel_safe` has verified that every
-/// handle is the `None` variant — a handle that *contains no `Rc` at
-/// all* — so no reference count can be touched off-thread. Everything
-/// else a `Node` owns is ordinary owned data (`DecisionModule: Send` is
-/// a trait bound), and the window protocol guarantees each pointer is
-/// dereferenced by at most one thread at a time.
-struct NodeSlot(*mut Node);
-
-// SAFETY: see the type-level comment; upheld by `Sim::process_window`.
-unsafe impl Send for NodeSlot {}
-
-/// Like [`NodeSlot`] but carrying the whole node-array base: a sharded
-/// worker dereferences only the nodes its shard owns (asserted per
-/// delivery against the router's node→shard table), so the same
-/// disjointness argument applies.
-struct NodeBase(*mut Node);
-
-// SAFETY: see [`NodeSlot`]; upheld by `Sim::run_sharded`.
-unsafe impl Send for NodeBase {}
-
-/// Result of the node-local half of a `Deliver`, produced on a pool
-/// worker and committed serially in pop order.
-enum ParOutcome {
-    /// The bytes did not decode (corruption or injected garbage).
-    DecodeError,
-    /// The sender is no longer an adjacency of the receiver.
-    Orphaned,
-    /// Speaker outputs, in the exact order the serial engine's batch
-    /// path would have produced them, plus the sends the speaker staged
-    /// while processing this event (always empty with coalescing off).
-    /// Carrying the staged delta per event restores the serial engine's
-    /// per-event staging attribution: the worker drains the speaker
-    /// after each event, and the commit loop re-stages the delta under
-    /// the committing clock — so the time-barrier flush sees exactly
-    /// what a serial run would have staged, in the same order.
-    Processed(Vec<DbgpOutput>, PendingSends),
-}
-
-/// Node-local half of a `Deliver`: decode the frame and run the
-/// receiving speaker. Reads and writes nothing outside `node`, which is
-/// what makes the parallel phase race-free; the counter updates and the
-/// output order are byte-for-byte those of the serial engine's untraced
-/// batch path.
-fn process_deliver(node: &mut Node, from: NodeId, bytes: &Bytes) -> ParOutcome {
-    node.counters.messages_in += 1;
-    let mut buf = bytes.clone();
-    let Ok(update) = DbgpUpdate::decode(&mut buf) else {
-        return ParOutcome::DecodeError;
-    };
-    let Some(&from_id) = node.ids_by_node.get(&from) else {
-        return ParOutcome::Orphaned;
-    };
-    node.counters.withdraws_in += update.withdrawn.len() as u64;
-    node.counters.updates_in += update.ias.len() as u64;
-    let mut outputs = Vec::new();
-    for prefix in update.withdrawn {
-        outputs.extend(node.speaker.receive_withdraw(from_id, prefix));
-    }
-    for ia in update.ias {
-        outputs.extend(node.speaker.receive_ia(from_id, ia));
-    }
-    ParOutcome::Processed(outputs, node.speaker.take_pending_sends())
 }
 
 /// Per-node control-plane counters with explicit restart semantics
@@ -474,7 +388,7 @@ pub struct Sim {
     /// Undirected link state, keyed by `(min, max)` node pair.
     links: BTreeMap<(NodeId, NodeId), LinkState>,
     services: HashMap<Ipv4Addr, (NodeId, Service)>,
-    queue: EventRouter<Event>,
+    queue: EventQueue<Event>,
     stats: SimStats,
     /// Route-churn records per (node, prefix).
     churn: BTreeMap<(NodeId, Ipv4Prefix), PrefixChurn>,
@@ -497,33 +411,11 @@ pub struct Sim {
     recorder: Option<Rc<TraceRecorder>>,
     /// Metrics registry mirrored from [`SimStats`] at snapshot time.
     metrics: SimMetrics,
-    /// Worker pool for windowed (Tier B) parallel event processing;
-    /// `None` means the classic serial engine.
-    pool: Option<std::sync::Arc<dbgp_par::Pool>>,
-    /// Minimum one-way delay across every link ever created (`u64::MAX`
-    /// until the first link). Lower-bounds the PDES lookahead: no
-    /// control-plane message can arrive sooner than this after the event
-    /// that sent it.
-    min_link_delay: SimTime,
-    /// Whether any out-of-band request was ever injected. Once true, the
-    /// lookahead must also respect `oob_delay` (requests and responses
-    /// are scheduled that far ahead).
-    oob_used: bool,
-    /// Reusable window buffer for the Tier B drain/commit loop; kept on
-    /// the struct so its capacity survives across windows.
-    window: Vec<(SimTime, Event)>,
-    /// The node partition behind the sharded engine, if [`Sim::set_shards`]
-    /// was called (kept for edge-cut reporting).
-    partition: Option<dbgp_par::Partition>,
     /// Link-delay accumulators: the calendar queue's day width is tuned
     /// to the mean link delay at first run.
     delay_sum: SimTime,
     delay_count: u64,
     width_tuned: bool,
-    /// Reusable per-shard window/outcome buffers for the sharded
-    /// engine's drain/commit cycle.
-    shard_windows: Vec<Vec<(SimTime, u64, Event)>>,
-    shard_outcomes: Vec<Vec<Option<ParOutcome>>>,
     /// Bounded-horizon oscillation capture; `None` (the default) is
     /// completely inert — no state, no branches taken, no output
     /// change, so pinned golden results are unaffected.
@@ -553,8 +445,8 @@ pub struct Sim {
 /// `decode` covers frame decoding, `decide` the receiving speakers'
 /// import/decision work, `encode` outbound wire-byte assembly, and
 /// `queue` delivery scheduling (including link-model application).
-/// Timing forces the serial engine and skips traced runs, so enable it
-/// on dedicated measurement runs only.
+/// Traced deliveries take a per-element path whose decide time is not
+/// recorded, so enable timing on dedicated measurement runs only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Nanoseconds spent decoding inbound frames.
@@ -589,7 +481,7 @@ impl Sim {
             nodes: Vec::new(),
             links: BTreeMap::new(),
             services: HashMap::new(),
-            queue: EventRouter::new(),
+            queue: EventQueue::new(),
             stats: SimStats::default(),
             churn: BTreeMap::new(),
             rng: SimRng::new(0),
@@ -598,16 +490,9 @@ impl Sim {
             sink: SinkHandle::none(),
             recorder: None,
             metrics: SimMetrics::new(),
-            pool: None,
-            min_link_delay: u64::MAX,
-            oob_used: false,
-            window: Vec::new(),
-            partition: None,
             delay_sum: 0,
             delay_count: 0,
             width_tuned: false,
-            shard_windows: Vec::new(),
-            shard_outcomes: Vec::new(),
             capture: None,
             coalesce: false,
             incremental: true,
@@ -615,88 +500,6 @@ impl Sim {
             staged_at: 0,
             phase_timing: None,
         }
-    }
-
-    /// Use `threads` threads of compute for event processing. `1` (the
-    /// default) keeps the classic serial engine; more builds a worker
-    /// pool and switches [`Sim::run`] to the lookahead-windowed parallel
-    /// engine, which produces bit-identical results (see DESIGN.md §10).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = if threads <= 1 {
-            None
-        } else {
-            Some(std::sync::Arc::new(dbgp_par::Pool::new(threads)))
-        };
-    }
-
-    /// Share an existing worker pool instead of building one (drivers
-    /// running many simulations reuse one pool across all of them). A
-    /// 1-thread pool selects the serial engine.
-    pub fn set_thread_pool(&mut self, pool: std::sync::Arc<dbgp_par::Pool>) {
-        self.pool = if pool.threads() <= 1 { None } else { Some(pool) };
-    }
-
-    /// Threads of compute the engine will apply (1 = serial).
-    pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
-    }
-
-    /// Partition the event engine into `shards` per-shard calendar
-    /// queues (Tier C). The partitioner is a METIS-lite greedy edge cut
-    /// over the current link graph, so call this after the topology is
-    /// built; `1` returns to the single-queue engine. Sharding is
-    /// results-neutral at any shard and thread count — the router keeps
-    /// one global `(time, seq)` order (DESIGN.md §12) — and only the
-    /// combination of shards > 1, a worker pool, and an out-of-band-free
-    /// run engages the sharded parallel path.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.clamp(1, u16::MAX as usize - 1);
-        let edges: Vec<(usize, usize)> = self.links.keys().copied().collect();
-        let part = dbgp_par::partition(self.nodes.len(), &edges, shards);
-        // Mailbox hint: one window's cross-shard fan-out is bounded in
-        // practice by the shard's share of the link count.
-        let hint = (edges.len() / part.shards.max(1)).max(64);
-        self.queue.set_shards(part.assignment.clone(), part.shards, hint);
-        self.partition = Some(part);
-    }
-
-    /// Like [`Sim::set_shards`], but balancing the partition by node
-    /// *degree* (an event-load proxy) instead of node count, via
-    /// `dbgp_par::partition_weighted`. On hub-heavy topologies — the
-    /// `hier_50k` tier-1 clique is the motivating case — count-balanced
-    /// shards leave one shard carrying most of the event load; the
-    /// weighted partition spreads the hubs at the price of a higher
-    /// edge cut. Results are identical either way (sharding is
-    /// results-neutral by construction); only wall-clock and the
-    /// per-shard event split move.
-    pub fn set_shards_weighted(&mut self, shards: usize) {
-        let shards = shards.clamp(1, u16::MAX as usize - 1);
-        let edges: Vec<(usize, usize)> = self.links.keys().copied().collect();
-        let mut weights = vec![1u64; self.nodes.len()];
-        for &(a, b) in &edges {
-            weights[a] += 1;
-            weights[b] += 1;
-        }
-        let part = dbgp_par::partition_weighted(self.nodes.len(), &edges, shards, &weights);
-        let hint = (edges.len() / part.shards.max(1)).max(64);
-        self.queue.set_shards(part.assignment.clone(), part.shards, hint);
-        self.partition = Some(part);
-    }
-
-    /// Shards the event engine is partitioned into (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.queue.shard_count()
-    }
-
-    /// Fraction of links whose endpoints landed in different shards
-    /// (0.0 when unsharded).
-    pub fn edge_cut_fraction(&self) -> f64 {
-        self.partition.as_ref().map_or(0.0, |p| p.edge_cut_fraction())
-    }
-
-    /// Events committed through each shard so far.
-    pub fn shard_event_counts(&self) -> Vec<u64> {
-        self.queue.shard_processed().to_vec()
     }
 
     /// Attach a recording sink: every control-plane action from here on
@@ -736,14 +539,14 @@ impl Sim {
     /// sends per (neighbor, prefix) — last write wins — and the engine
     /// flushes them as packed multi-NLRI frames the moment the global
     /// commit clock passes the staging time. Staging deltas are absorbed
-    /// at event commit, which all three engines perform in the same
-    /// `(time, seq)` order, so the flush points, frames and RNG draws
-    /// are engine-independent. Off by default: the classic per-change
-    /// wire stream stays byte-identical to prior releases. With
-    /// `mrai > 0` staged sends join the per-neighbor MRAI window at the
-    /// barrier instead of going out immediately. Coalesced frames carry
-    /// no per-element trace causes. Toggle only while nothing is staged
-    /// (before the first run, or between quiesced runs).
+    /// at event commit, in `(time, seq)` order, so the flush points,
+    /// frames and RNG draws are a pure function of the run. Off by
+    /// default: the classic per-change wire stream stays byte-identical
+    /// to prior releases. With `mrai > 0` staged sends join the
+    /// per-neighbor MRAI window at the barrier instead of going out
+    /// immediately. Coalesced frames carry no per-element trace causes.
+    /// Toggle only while nothing is staged (before the first run, or
+    /// between quiesced runs).
     pub fn set_coalesce(&mut self, on: bool) {
         debug_assert!(
             on || self.staged_sends.is_empty(),
@@ -772,16 +575,15 @@ impl Sim {
     }
 
     /// Full candidate scans the incremental decision fast path avoided,
-    /// summed over all speakers. Engine-independent: the fast path runs
-    /// in the node-local half of delivery processing, which is
-    /// identical in the serial, windowed and sharded engines.
+    /// summed over all speakers.
     pub fn full_scans_avoided(&self) -> u64 {
         self.nodes.iter().map(|n| n.speaker.full_scans_avoided()).sum()
     }
 
     /// Collect per-phase wall time (decode/decide/encode/queue) on the
-    /// delivery hot path. Forces the serial engine, so enable it only
-    /// on dedicated measurement runs — never on gated throughput legs.
+    /// delivery hot path. The clock reads cost time of their own, so
+    /// enable it only on dedicated measurement runs — never on gated
+    /// throughput legs.
     pub fn enable_phase_timing(&mut self) {
         self.phase_timing = Some(Box::default());
     }
@@ -794,10 +596,8 @@ impl Sim {
 
     /// Turn on bounded-horizon oscillation capture: from here on the
     /// most recent `cap` best-path changes are kept (with their
-    /// simulated times) for post-run periodicity analysis. Like an
-    /// attached trace recorder, capture forces the serial engine — the
-    /// record order *is* the analysis input, so it must be the serial
-    /// commit order.
+    /// simulated times) for post-run periodicity analysis, in commit
+    /// order.
     pub fn capture_best_changes(&mut self, cap: usize) {
         self.capture = Some(BestChangeCapture { cap, total: 0, records: VecDeque::new() });
     }
@@ -1054,10 +854,6 @@ impl Sim {
                 classes,
             },
         );
-        // Lookahead bound: once a link this fast exists, windows may
-        // never span more than its delay. (Failing the link does not
-        // relax the bound — a conservative lookahead is always safe.)
-        self.min_link_delay = self.min_link_delay.min(delay);
         self.delay_sum = self.delay_sum.saturating_add(delay);
         self.delay_count += 1;
         for (me, peer) in [(a, b), (b, a)] {
@@ -1236,7 +1032,6 @@ impl Sim {
 
     /// Send an out-of-band payload from a node to a service address.
     pub fn oob_send(&mut self, from: NodeId, to_addr: Ipv4Addr, payload: Vec<u8>) {
-        self.oob_used = true;
         self.queue.schedule(self.oob_delay, Event::OobRequest { to_addr, from, payload });
     }
 
@@ -1266,51 +1061,6 @@ impl Sim {
     /// statistics snapshot.
     pub fn run(&mut self, max_time: SimTime) -> SimStats {
         self.tune_width();
-        match self.pool.clone() {
-            Some(pool)
-                if self.parallel_safe() && self.queue.shard_count() > 1 && !self.oob_used =>
-            {
-                self.run_sharded(&pool, max_time)
-            }
-            Some(pool) if self.parallel_safe() => self.run_windowed(&pool, max_time),
-            _ => self.run_serial(max_time),
-        }
-    }
-
-    /// Derive the calendar-queue day width from the mean link delay
-    /// (once, at first run): one day spanning roughly one typical delay
-    /// keeps each lookahead window's events within O(1) buckets. A pure
-    /// throughput knob — pop order is exact `(time, seq)` at any width.
-    fn tune_width(&mut self) {
-        if self.width_tuned {
-            return;
-        }
-        self.width_tuned = true;
-        if self.delay_count == 0 {
-            return;
-        }
-        let mean = (self.delay_sum / self.delay_count).max(1);
-        let shift = (SimTime::BITS - mean.leading_zeros()).min(12);
-        self.queue.set_width_shift(shift);
-    }
-
-    /// Whether the windowed parallel engine may run: telemetry handles
-    /// hold an `Rc` and are not thread-safe, so any attached recorder or
-    /// per-speaker sink forces the serial engine. (Telemetry also changes
-    /// the processing granularity, so the serial engine is the only one
-    /// that can honor per-element trace causality anyway.) Oscillation
-    /// capture forces serial for the same reason: its record order is
-    /// the analysis input.
-    fn parallel_safe(&self) -> bool {
-        self.recorder.is_none()
-            && !self.sink.is_attached()
-            && self.capture.is_none()
-            && self.phase_timing.is_none()
-            && self.nodes.iter().all(|n| !n.speaker.telemetry_attached())
-    }
-
-    /// The classic serial event loop.
-    fn run_serial(&mut self, max_time: SimTime) -> SimStats {
         loop {
             while let Some(next_at) = self.queue.peek_time() {
                 if next_at > max_time {
@@ -1331,9 +1081,25 @@ impl Sim {
         self.stats
     }
 
-    /// Process one event exactly as the serial loop always has. The
-    /// caller has already advanced the queue clock to `at` (by popping,
-    /// or via the router's `set_now` during a window replay).
+    /// Derive the calendar-queue day width from the mean link delay
+    /// (once, at first run): one day spanning roughly one typical delay
+    /// keeps the events near the clock within O(1) buckets. A pure
+    /// throughput knob — pop order is exact `(time, seq)` at any width.
+    fn tune_width(&mut self) {
+        if self.width_tuned {
+            return;
+        }
+        self.width_tuned = true;
+        if self.delay_count == 0 {
+            return;
+        }
+        let mean = (self.delay_sum / self.delay_count).max(1);
+        let shift = (SimTime::BITS - mean.leading_zeros()).min(12);
+        self.queue.set_width_shift(shift);
+    }
+
+    /// Process one event; the caller has already popped it, advancing
+    /// the queue clock to `at`.
     fn handle_event(&mut self, at: SimTime, event: Event) {
         self.maybe_flush_staged(at);
         self.stats.last_event_at = at;
@@ -1447,412 +1213,6 @@ impl Sim {
                 Event::OobResponse { to, from_addr, payload } => {
                     self.nodes[to].oob_inbox.push((from_addr, payload));
                 }
-            }
-        }
-    }
-
-    // ----- windowed parallel engine (Tier B) -----------------------------
-
-    /// The conservative PDES lookahead: the minimum delay any event
-    /// processed now can put between itself and an event it generates.
-    /// Every event in the half-open window `[t0, t0 + lookahead)` is
-    /// therefore causally independent of every *generated* event — all
-    /// generated events land at or beyond the window's end, so the whole
-    /// window can be drained up front. Three kinds of events are ever
-    /// generated during a run:
-    ///
-    /// - `Deliver`, scheduled at least `min_link_delay` ahead (jitter
-    ///   only adds delay; a duplicate is scheduled one unit later still);
-    /// - `Flush`, scheduled `mrai` ahead (never generated when `mrai` is
-    ///   0 — coalescing is off and sends go out inline);
-    /// - `OobResponse`, scheduled `oob_delay` ahead (only once an
-    ///   out-of-band request exists, tracked by `oob_used`).
-    fn lookahead(&self) -> SimTime {
-        let mut l = self.min_link_delay;
-        if self.mrai > 0 {
-            l = l.min(self.mrai);
-        }
-        if self.oob_used {
-            l = l.min(self.oob_delay);
-        }
-        l
-    }
-
-    /// The windowed engine: drain one safe lookahead window at a time,
-    /// run the node-local half of every `Deliver` on the pool (sharded
-    /// by destination node), then commit all global effects serially in
-    /// the original pop order. Produces bit-identical stats, metrics,
-    /// RIBs, churn records and event streams to [`Sim::run_serial`] —
-    /// the safety argument is spelled out in DESIGN.md §10.
-    fn run_windowed(&mut self, pool: &dbgp_par::Pool, max_time: SimTime) -> SimStats {
-        let mut low_windows = 0usize;
-        let mut serial_drain = false;
-        loop {
-            while let Some(t0) = self.queue.peek_time() {
-                if t0 > max_time {
-                    break;
-                }
-                // Events at exactly `t0 + lookahead - 1` still precede every
-                // event generated inside the window, hence the inclusive
-                // horizon at lookahead - 1. A zero lookahead (a delay-0 link
-                // exists) degrades to single-timestamp windows, which are
-                // still safe: generated events carry later sequence numbers
-                // than everything drained before they existed.
-                let horizon = t0.saturating_add(self.lookahead().saturating_sub(1)).min(max_time);
-                let mut window = std::mem::take(&mut self.window);
-                self.queue.drain_upto(horizon, &mut window);
-                if serial_drain {
-                    // Permanent serial fallback: the run has shown it
-                    // cannot feed the pool, so skip even the per-window
-                    // bucketing and replay directly.
-                    for (at, event) in window.drain(..) {
-                        self.queue.set_now(at);
-                        self.handle_event(at, event);
-                    }
-                } else {
-                    let delivers = self.process_window(pool, &mut window);
-                    // Rolling under-threshold streak: a workload whose
-                    // windows stay this sparse (waxman50_churn-sized
-                    // topologies) pays pool wakeups for nothing, so
-                    // after enough consecutive sparse windows the run
-                    // drops to a serial drain for good.
-                    if delivers < Self::SERIAL_FALLBACK_THRESHOLD {
-                        low_windows += 1;
-                        serial_drain = low_windows >= Self::SERIAL_FALLBACK_WINDOWS;
-                    } else {
-                        low_windows = 0;
-                    }
-                }
-                window.clear();
-                self.window = window;
-            }
-            // End-of-run drain, exactly as in the serial engine.
-            if self.staged_sends.is_empty() {
-                break;
-            }
-            self.flush_staged();
-        }
-        self.stats
-    }
-
-    /// Below this many deliveries in one lookahead window the pool's
-    /// wakeup cost dwarfs the speaker work, so the window replays
-    /// serially. Purely a performance knob — both paths produce
-    /// identical results. `sim_bench` reports this value as
-    /// `serial_fallback_threshold`.
-    pub const SERIAL_FALLBACK_THRESHOLD: usize = 8;
-
-    /// After this many *consecutive* under-threshold windows the
-    /// windowed engine permanently switches to a serial drain for the
-    /// rest of the run (small topologies never grow denser windows, and
-    /// the per-window bucketing itself costs more than it saves).
-    pub const SERIAL_FALLBACK_WINDOWS: usize = 8;
-
-    /// Process one drained window; returns the window's delivery count
-    /// (the serial-fallback signal). Windows that cannot profit from
-    /// (or are not eligible for) the parallel phase replay serially
-    /// through [`Sim::handle_event`], which is trivially identical to
-    /// the serial engine.
-    fn process_window(
-        &mut self,
-        pool: &dbgp_par::Pool,
-        window: &mut Vec<(SimTime, Event)>,
-    ) -> usize {
-        let mut by_node: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        let mut delivers = 0usize;
-        let mut plain = true;
-        for (i, (_, event)) in window.iter().enumerate() {
-            match event {
-                Event::Deliver { to, .. } => {
-                    delivers += 1;
-                    by_node.entry(*to).or_default().push(i);
-                }
-                Event::Flush { .. } => {}
-                // Out-of-band service handlers mutate speaker modules
-                // that same-window deliveries may read (e.g. Wiser
-                // costs), so such windows keep strict serial order.
-                Event::OobRequest { .. } | Event::OobResponse { .. } => plain = false,
-            }
-        }
-        if !plain || delivers < Self::SERIAL_FALLBACK_THRESHOLD || by_node.len() < 2 {
-            for (at, event) in window.drain(..) {
-                self.queue.set_now(at);
-                self.handle_event(at, event);
-            }
-            return delivers;
-        }
-
-        // --- parallel phase: node-local speaker work, sharded by node.
-        //
-        // Shards are balanced greedily by delivery count; the assignment
-        // cannot affect results because every outcome is scattered back
-        // by event index before the serial commit below.
-        let threads = pool.threads();
-        let node_list: Vec<(NodeId, Vec<usize>)> =
-            std::mem::take(&mut by_node).into_iter().collect();
-        let mut order: Vec<usize> = (0..node_list.len()).collect();
-        order.sort_by_key(|&k| std::cmp::Reverse(node_list[k].1.len()));
-        let base = self.nodes.as_mut_ptr();
-        let mut shard_jobs: Vec<Vec<(NodeSlot, &[usize])>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        let mut shard_load = vec![0usize; threads];
-        for k in order {
-            let (nid, idxs) = &node_list[k];
-            let s = shard_load
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, load)| *load)
-                .map(|(s, _)| s)
-                .expect("threads >= 1");
-            shard_load[s] += idxs.len();
-            // SAFETY (pointer creation): `nid` indexes into `self.nodes`
-            // (it came from a Deliver event's destination, validated at
-            // link setup); each node id appears in exactly one shard.
-            shard_jobs[s].push((NodeSlot(unsafe { base.add(*nid) }), idxs.as_slice()));
-        }
-        let mut shard_out: Vec<Vec<(usize, ParOutcome)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        {
-            let window_ref: &[(SimTime, Event)] = window;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shard_jobs
-                .into_iter()
-                .zip(shard_out.iter_mut())
-                .filter(|(shard, _)| !shard.is_empty())
-                .map(|(shard, out)| {
-                    Box::new(move || {
-                        for (slot, idxs) in shard {
-                            // SAFETY (dereference): the shards partition
-                            // node ids, so this `&mut Node` aliases no
-                            // other thread's; `&mut self` keeps the rest
-                            // of the program out of `self.nodes` until
-                            // the batch barrier in `run_batch` returns.
-                            // `Node` contains no thread-unsafe state
-                            // here: `parallel_safe` proved every
-                            // `SinkHandle` is the Rc-free `none()`
-                            // variant, and `DecisionModule: Send` bounds
-                            // the boxed modules.
-                            let node = unsafe { &mut *slot.0 };
-                            for &i in idxs {
-                                let (_, event) = &window_ref[i];
-                                let Event::Deliver { from, bytes, .. } = event else {
-                                    unreachable!("by_node only indexes Deliver events")
-                                };
-                                out.push((i, process_deliver(node, *from, bytes)));
-                            }
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_batch(jobs);
-        }
-        let mut outcomes: Vec<Option<ParOutcome>> = Vec::with_capacity(window.len());
-        outcomes.resize_with(window.len(), || None);
-        for out in shard_out {
-            for (i, outcome) in out {
-                outcomes[i] = Some(outcome);
-            }
-        }
-
-        // --- commit phase: all global effects, serially, in pop order.
-        //
-        // Every mutation of shared state — engine stats, metrics, FIBs,
-        // churn records, outbound coalescing, encodes, RNG draws in
-        // `deliver_on_link`, and event scheduling (hence sequence-number
-        // assignment) — happens here, in exactly the order the serial
-        // engine would have performed it, under the clock value the
-        // serial engine would have observed.
-        for (i, (at, event)) in window.iter().enumerate() {
-            self.queue.set_now(*at);
-            self.maybe_flush_staged(*at);
-            self.stats.last_event_at = *at;
-            match event {
-                Event::Deliver { to, bytes, .. } => {
-                    self.stats.messages += 1;
-                    self.stats.bytes += bytes.len() as u64;
-                    self.metrics.registry.observe(self.metrics.message_bytes, bytes.len() as u64);
-                    match outcomes[i].take().expect("every Deliver got an outcome") {
-                        ParOutcome::DecodeError => self.stats.decode_errors += 1,
-                        ParOutcome::Orphaned => self.stats.orphaned_deliveries += 1,
-                        ParOutcome::Processed(outputs, staged) => {
-                            self.apply_local(*to, &outputs);
-                            self.dispatch(*to, outputs, None);
-                            self.absorb_staged(*to, staged);
-                        }
-                    }
-                }
-                Event::Flush { node, neighbor } => self.flush(*node, *neighbor),
-                Event::OobRequest { .. } | Event::OobResponse { .. } => {
-                    unreachable!("windows containing out-of-band events replay serially")
-                }
-            }
-        }
-        delivers
-    }
-
-    // ----- sharded parallel engine (Tier C) ------------------------------
-
-    /// The sharded engine: each shard's worker merges its staged
-    /// mailbox, drains its own calendar queue to the window horizon, and
-    /// runs the node-local half of its `Deliver`s — all concurrently,
-    /// with no shared queue — then a serial commit k-way-merges the
-    /// shard windows on the global `(time, seq)` key. Commit-side
-    /// schedules go to per-shard mailboxes (conservative lookahead puts
-    /// them beyond the horizon, so no worker ever misses one).
-    ///
-    /// Bit-identical to [`Sim::run_serial`] by the same argument as the
-    /// windowed engine (DESIGN.md §10, §12): the parallel phase computes
-    /// only node-local speaker outcomes, the shards partition the nodes,
-    /// and every globally visible effect — stats, metrics, FIBs, churn,
-    /// RNG draws, sequence assignment — happens in the commit loop in
-    /// exactly the serial order.
-    fn run_sharded(&mut self, pool: &dbgp_par::Pool, max_time: SimTime) -> SimStats {
-        /// Below this many pending events the pool barrier dwarfs the
-        /// speaker work; flush staging and replay serially. A pure
-        /// performance knob — both paths produce identical results.
-        const MIN_PARALLEL_WINDOW: usize = 64;
-
-        let shards = self.queue.shard_count();
-        let mut swin = std::mem::take(&mut self.shard_windows);
-        let mut souts = std::mem::take(&mut self.shard_outcomes);
-        swin.resize_with(shards, Vec::new);
-        souts.resize_with(shards, Vec::new);
-        self.queue.begin_staging();
-        'drain: loop {
-            while let Some(t0) = self.queue.peek_time() {
-                if t0 > max_time {
-                    break;
-                }
-                // Same inclusive-horizon arithmetic as the windowed engine.
-                let horizon = t0.saturating_add(self.lookahead().saturating_sub(1)).min(max_time);
-                if self.queue.len() < MIN_PARALLEL_WINDOW {
-                    self.queue.flush_staging();
-                    let mut window = std::mem::take(&mut self.window);
-                    self.queue.drain_upto(horizon, &mut window);
-                    for (at, event) in window.drain(..) {
-                        self.queue.set_now(at);
-                        self.handle_event(at, event);
-                    }
-                    self.window = window;
-                    continue;
-                }
-
-                // --- parallel phase: one worker per shard, end to end.
-                {
-                    let n_nodes = self.nodes.len();
-                    let base = self.nodes.as_mut_ptr();
-                    let (queues, chans, node_shard) = self.queue.split_shards();
-                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = queues
-                        .iter_mut()
-                        .zip(chans.iter_mut())
-                        .zip(swin.iter_mut().zip(souts.iter_mut()))
-                        .enumerate()
-                        .map(|(s, ((queue, chan), (win, outs)))| {
-                            let node_shard: &[u16] = node_shard;
-                            let nbase = NodeBase(base);
-                            Box::new(move || {
-                                // Rebind so the closure captures the Send
-                                // wrapper, not its raw-pointer field (2021
-                                // closures capture disjoint fields).
-                                let nbase = nbase;
-                                for (at, seq, e) in chan.drain() {
-                                    queue.insert_keyed(at, seq, e);
-                                }
-                                win.clear();
-                                queue.drain_keyed_upto(horizon, win);
-                                outs.clear();
-                                for (_, _, event) in win.iter() {
-                                    if let Event::Deliver { to, from, bytes, .. } = event {
-                                        // Hard ownership check: the router
-                                        // pins every Deliver to its node's
-                                        // shard, so the `&mut Node` below
-                                        // aliases no other worker's.
-                                        assert!(
-                                            *to < n_nodes
-                                                && node_shard.get(*to).copied().unwrap_or(0)
-                                                    as usize
-                                                    == s,
-                                            "delivery to node {to} outside shard {s}"
-                                        );
-                                        // SAFETY: bounds-checked offset; the
-                                        // shards partition node ids (asserted
-                                        // above); `parallel_safe` proved the
-                                        // nodes hold no Rc telemetry state
-                                        // (see the NodeSlot safety comment).
-                                        let node = unsafe { &mut *nbase.0.add(*to) };
-                                        outs.push(Some(process_deliver(node, *from, bytes)));
-                                    } else {
-                                        outs.push(None);
-                                    }
-                                }
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.run_batch(jobs);
-                }
-                let drained: Vec<usize> = swin.iter().map(|w| w.len()).collect();
-                self.queue.note_parallel_drain(&drained);
-
-                // --- commit phase: k-way merge on (time, seq), all global
-                // effects serially in exactly the serial engine's order.
-                let mut iters: Vec<_> = swin.iter_mut().map(|w| w.drain(..).peekable()).collect();
-                let mut taken = vec![0usize; shards];
-                loop {
-                    let mut best: Option<((SimTime, u64), usize)> = None;
-                    for (s, it) in iters.iter_mut().enumerate() {
-                        if let Some((at, seq, _)) = it.peek() {
-                            let key = (*at, *seq);
-                            if best.is_none_or(|(bk, _)| key < bk) {
-                                best = Some((key, s));
-                            }
-                        }
-                    }
-                    let Some((_, s)) = best else { break };
-                    let (at, _seq, event) = iters[s].next().expect("peeked iterator must yield");
-                    let outcome = souts[s][taken[s]].take();
-                    taken[s] += 1;
-                    self.commit_one(at, event, outcome);
-                }
-            }
-            // End-of-run drain, exactly as in the serial engine (flushed
-            // deliveries go through the staging mailboxes like any other
-            // commit-side schedule).
-            if self.staged_sends.is_empty() {
-                break 'drain;
-            }
-            self.flush_staged();
-        }
-        self.queue.end_staging();
-        self.shard_windows = swin;
-        self.shard_outcomes = souts;
-        self.stats
-    }
-
-    /// Commit one event's global effects — the sharded engine's
-    /// counterpart of the windowed commit loop body, bit-identical to
-    /// what [`Sim::handle_event`] does for the same event minus the
-    /// node-local half already computed in the parallel phase.
-    fn commit_one(&mut self, at: SimTime, event: Event, outcome: Option<ParOutcome>) {
-        self.queue.set_now(at);
-        self.maybe_flush_staged(at);
-        self.stats.last_event_at = at;
-        match event {
-            Event::Deliver { to, bytes, .. } => {
-                self.stats.messages += 1;
-                self.stats.bytes += bytes.len() as u64;
-                self.metrics.registry.observe(self.metrics.message_bytes, bytes.len() as u64);
-                match outcome.expect("every Deliver got an outcome") {
-                    ParOutcome::DecodeError => self.stats.decode_errors += 1,
-                    ParOutcome::Orphaned => self.stats.orphaned_deliveries += 1,
-                    ParOutcome::Processed(outputs, staged) => {
-                        self.apply_local(to, &outputs);
-                        self.dispatch(to, outputs, None);
-                        self.absorb_staged(to, staged);
-                    }
-                }
-            }
-            Event::Flush { node, neighbor } => self.flush(node, neighbor),
-            Event::OobRequest { .. } | Event::OobResponse { .. } => {
-                unreachable!("the sharded engine requires an out-of-band-free run")
             }
         }
     }
@@ -2014,10 +1374,9 @@ impl Sim {
 
     /// Merge one event's worth of speaker-staged sends into the
     /// sim-level staging area, stamped with the current commit clock.
-    /// Absorption happens only at event commit, which all engines
-    /// perform in the global `(time, seq)` order — so the staged
-    /// contents, the flush points and the flushed frames are identical
-    /// across the serial, windowed and sharded engines.
+    /// Absorption happens only at event commit, in the global
+    /// `(time, seq)` order — so the staged contents, the flush points
+    /// and the flushed frames are a pure function of the run.
     fn absorb_staged(&mut self, node: NodeId, staged: PendingSends) {
         if staged.is_empty() {
             return;

@@ -1,18 +1,13 @@
 //! Deterministic update coalescing ([`Sim::set_coalesce`]) contract:
 //!
-//! 1. With coalescing on, the serial, windowed and sharded engines stay
-//!    bit-identical at every checkpoint of a churning run — staging
-//!    deltas are absorbed at event commit (global `(time, seq)` order)
-//!    and flushed at the time barrier, so the flush points, frames and
-//!    RNG draws cannot depend on the engine.
-//! 2. Coalescing changes the wire stream (fewer, fatter frames — that
+//! 1. Coalescing changes the wire stream (fewer, fatter frames — that
 //!    is the point) but never the outcome: the converged Loc-RIBs and
 //!    FIBs match the per-change stream's exactly.
-//! 3. With `mrai > 0` the staged sends compose with the classic MRAI
+//! 2. With `mrai > 0` the staged sends compose with the classic MRAI
 //!    window instead of bypassing it.
 
 use dbgp_core::{render_path, DbgpConfig};
-use dbgp_sim::{LinkModel, Sim};
+use dbgp_sim::Sim;
 use dbgp_topology::fixtures::waxman_50;
 use dbgp_wire::Ipv4Prefix;
 
@@ -20,28 +15,11 @@ fn origin_prefix(node: usize) -> Ipv4Prefix {
     format!("10.{}.{}.0/24", (node >> 8) & 0xff, node & 0xff).parse().unwrap()
 }
 
-/// The par_determinism churn scenario, with coalescing configurable.
-fn build(
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    coalesce: bool,
-    mrai: u64,
-) -> (Sim, Vec<(usize, usize)>) {
-    build_with(seed, threads, shards, coalesce, mrai, true)
-}
-
-fn build_with(
-    seed: u64,
-    threads: usize,
-    shards: usize,
-    coalesce: bool,
-    mrai: u64,
-    perturb: bool,
-) -> (Sim, Vec<(usize, usize)>) {
+/// A waxman-50 world where every node originates one prefix, with
+/// coalescing and the MRAI configurable.
+fn build(seed: u64, coalesce: bool, mrai: u64) -> Sim {
     let graph = waxman_50(seed);
     let mut sim = Sim::new();
-    sim.set_threads(threads);
     sim.set_seed(seed ^ 0xD1CE);
     sim.set_mrai(mrai);
     sim.set_coalesce(coalesce);
@@ -59,54 +37,11 @@ fn build_with(
     edges.sort_unstable();
     for &(a, b) in &edges {
         sim.link(a, b, 5 + ((a + b) % 7) as u64, false);
-        // Perturbed links make the commit-phase RNG draw order
-        // load-bearing: a flush point differing between engines would
-        // desynchronize every later draw. (The coalesce-on/off outcome
-        // comparison turns them off — the two wire streams draw the RNG
-        // differently by design, and a duplicated stale announcement
-        // landing after its successor legitimately changes the result.)
-        if perturb {
-            match (a + b) % 3 {
-                0 => sim.set_link_model(a, b, LinkModel::reliable().jitter(((a + b) % 5) as u64)),
-                1 => sim.set_link_model(a, b, LinkModel::reliable().duplicate_ppm(90_000)),
-                _ => {}
-            }
-        }
-    }
-    if shards > 1 {
-        sim.set_shards(shards);
     }
     for node in 0..graph.len() {
         sim.originate(node, origin_prefix(node));
     }
-    (sim, edges)
-}
-
-/// Everything observable, rendered to one comparable string (the
-/// par_determinism fingerprint: stats — including total frame count and
-/// bytes, so a single diverging frame shows up — plus FIBs, Loc-RIBs
-/// and churn records).
-fn fingerprint(sim: &mut Sim) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("stats={:?}\n", sim.stats()));
-    out.push_str(&format!(
-        "now={} processed={} pending={}\n",
-        sim.now(),
-        sim.events_processed(),
-        sim.pending_events()
-    ));
-    for node in 0..sim.node_count() {
-        out.push_str(&format!("fib[{node}]={:?}\n", sim.fib(node)));
-        for (prefix, chosen) in sim.speaker(node).routes() {
-            out.push_str(&format!(
-                "rib[{node}][{prefix}]: via={:?} path={}\n",
-                chosen.neighbor,
-                render_path(&chosen.ia)
-            ));
-        }
-    }
-    out.push_str(&format!("churn={:?}\n", sim.churn()));
-    out
+    sim
 }
 
 /// Only the converged routing outcome (no stats, no timing): what must
@@ -122,57 +57,12 @@ fn rib_fingerprint(sim: &Sim) -> String {
     out
 }
 
-/// Drive the churn scenario, fingerprinting after every segment.
-fn drive(seed: u64, threads: usize, shards: usize, coalesce: bool, mrai: u64) -> Vec<String> {
-    let (mut sim, edges) = build(seed, threads, shards, coalesce, mrai);
-    let mut checkpoints = Vec::new();
-    sim.run(20_000);
-    checkpoints.push(fingerprint(&mut sim));
-    for round in 0..4u64 {
-        let (a, b) = edges[(seed as usize + round as usize * 11) % edges.len()];
-        sim.fail_link(a, b);
-        sim.run(sim.now() + 400);
-        sim.restore_link(a, b);
-        sim.run(sim.now() + 1200);
-        checkpoints.push(fingerprint(&mut sim));
-    }
-    sim.restart_node(17);
-    sim.run(60_000);
-    checkpoints.push(fingerprint(&mut sim));
-    checkpoints
-}
-
-#[test]
-fn coalescing_is_engine_independent_at_any_thread_count() {
-    let serial = drive(42, 1, 1, true, 0);
-    for threads in [2usize, 4] {
-        let parallel = drive(42, threads, 1, true, 0);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (s, p)) in serial.iter().zip(parallel.iter()).enumerate() {
-            assert_eq!(
-                s, p,
-                "coalescing: serial vs {threads}-thread runs diverged at checkpoint {i}"
-            );
-        }
-    }
-}
-
-#[test]
-fn coalescing_is_engine_independent_under_sharding() {
-    let serial = drive(42, 1, 1, true, 0);
-    let sharded = drive(42, 4, 4, true, 0);
-    assert_eq!(serial.len(), sharded.len());
-    for (i, (s, p)) in serial.iter().zip(sharded.iter()).enumerate() {
-        assert_eq!(s, p, "coalescing: serial vs 4-thread/4-shard runs diverged at checkpoint {i}");
-    }
-}
-
 #[test]
 fn coalescing_reduces_frames_without_changing_the_outcome() {
-    let (mut off, _) = build_with(42, 1, 1, false, 0, false);
+    let mut off = build(42, false, 0);
     off.run(200_000);
     assert_eq!(off.pending_events(), 0, "per-change run must quiesce");
-    let (mut on, _) = build_with(42, 1, 1, true, 0, false);
+    let mut on = build(42, true, 0);
     on.run(200_000);
     assert_eq!(on.pending_events(), 0, "coalesced run must quiesce");
 
@@ -194,10 +84,10 @@ fn coalescing_reduces_frames_without_changing_the_outcome() {
 
 #[test]
 fn coalescing_composes_with_the_mrai_window() {
-    let (mut off, _) = build_with(7, 1, 1, false, 30, false);
+    let mut off = build(7, false, 30);
     off.run(400_000);
     assert_eq!(off.pending_events(), 0);
-    let (mut on, _) = build_with(7, 1, 1, true, 30, false);
+    let mut on = build(7, true, 30);
     on.run(400_000);
     assert_eq!(on.pending_events(), 0);
     assert_eq!(

@@ -60,14 +60,6 @@ impl SinkHandle {
         SinkHandle(Some(sink))
     }
 
-    /// True when a sink is attached (even if currently disabled). The
-    /// simulator's parallel engine uses this to prove a handle holds no
-    /// `Rc` before moving its owner across threads.
-    #[inline]
-    pub fn is_attached(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// True when a sink is attached and accepting events.
     #[inline]
     pub fn enabled(&self) -> bool {

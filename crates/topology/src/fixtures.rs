@@ -20,8 +20,8 @@ pub fn waxman_5000(seed: u64) -> AsGraph {
 }
 
 /// The 50,000-AS hierarchical Gao-Rexford tier (12-member tier-1
-/// clique, 988 tier-2, 4,000 regionals, 45,000 stubs) — the benchmark
-/// topology that only the sharded engine makes tractable.
+/// clique, 988 tier-2, 4,000 regionals, 45,000 stubs) — the
+/// benchmark's Internet-scale topology.
 pub fn hier_50k(seed: u64) -> HierTopology {
     generate_hier(HierParams::default(), seed)
 }

@@ -61,8 +61,8 @@ pub fn node_prefix(node: usize) -> Ipv4Prefix {
 
 /// Originate prefixes from `count` stubs spread evenly across the stub
 /// tail, returning the prefixes in origination order. Stub selection is
-/// a pure function of the topology, so every thread/shard configuration
-/// replays the identical driver sequence.
+/// a pure function of the topology, so every run replays the identical
+/// driver sequence.
 pub fn originate_from_stubs(sim: &mut Sim, topo: &HierTopology, count: usize) -> Vec<Ipv4Prefix> {
     let stubs: Vec<usize> = topo.nodes_in(Tier::Stub).collect();
     assert!(!stubs.is_empty(), "topology has no stubs to originate from");
