@@ -776,9 +776,8 @@ impl DbgpSpeaker {
                 // With uniform exports the factory product depends only
                 // on (chosen IA, neighbor class): build once per class
                 // and share the Arc across the whole fan-out.
-                let cacheable = self.modules.values().all(|m| m.export_is_uniform());
                 if let Some(entry) = self.out_cache.get(&class) {
-                    if cacheable && Arc::ptr_eq(&entry.chosen, &chosen_ia) {
+                    if self.all_uniform && Arc::ptr_eq(&entry.chosen, &chosen_ia) {
                         let ia = Arc::clone(&entry.built);
                         self.stage_send(id, prefix, ia, out);
                         return;
@@ -809,7 +808,7 @@ impl DbgpSpeaker {
                     ia.island_descriptors.clear();
                 }
                 let ia = Arc::new(ia);
-                if cacheable {
+                if self.all_uniform {
                     self.out_cache
                         .insert(class, OutCacheEntry { chosen: chosen_ia, built: Arc::clone(&ia) });
                 }

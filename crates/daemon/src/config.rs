@@ -16,6 +16,10 @@
 //! `next-hop=` (our NEXT_HOP toward this peer; defaults to the router
 //! ID), and the bare flags `passive` (never dial) and `ia` (advertise
 //! the D-BGP Integrated-Advertisement capability).
+//!
+//! UPDATE packing has no directive: the routing core always packs the
+//! exports of each inbound message into multi-NLRI UPDATEs
+//! (`dbgp_session::routing`).
 
 use dbgp_session::{NeighborConfig, PeerConfig};
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix};
@@ -52,10 +56,6 @@ pub struct DaemonConfig {
     pub networks: Vec<Ipv4Prefix>,
     /// Configured peerings, in file order (peer index = PeerId).
     pub neighbors: Vec<NeighborSpec>,
-    /// Stage UPDATEs per peer and flush them as packed multi-NLRI
-    /// frames once per reactor tick (`coalesce-updates true`). Off by
-    /// default: per-change frames, byte-compatible with prior releases.
-    pub coalesce_updates: bool,
 }
 
 impl DaemonConfig {
@@ -68,7 +68,6 @@ impl DaemonConfig {
         let mut connect_retry_ms = 1_000u64;
         let mut networks = Vec::new();
         let mut neighbors = Vec::new();
-        let mut coalesce_updates = false;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -104,11 +103,6 @@ impl DaemonConfig {
                         .map_err(|_| format!("line {lineno}: bad network prefix"))?,
                 ),
                 "neighbor" => neighbors.push(Self::parse_neighbor(rest, lineno)?),
-                "coalesce-updates" => {
-                    coalesce_updates = rest
-                        .parse::<bool>()
-                        .map_err(|_| format!("line {lineno}: bad coalesce-updates"))?
-                }
                 other => return Err(format!("line {lineno}: unknown directive `{other}`")),
             }
         }
@@ -122,7 +116,6 @@ impl DaemonConfig {
             connect_retry_ms,
             networks,
             neighbors,
-            coalesce_updates,
         };
         // next-hop defaults to the router ID.
         for n in &mut cfg.neighbors {
@@ -228,5 +221,14 @@ neighbor as=65003 passive next-hop=10.0.0.9
     fn rejects_unknown_directive() {
         let text = "local-as 1\nrouter-id 1.1.1.1\nbogus 3\n";
         assert!(DaemonConfig::parse(text).unwrap_err().contains("bogus"));
+    }
+
+    #[test]
+    fn coalesce_updates_is_no_longer_a_directive() {
+        let text = "local-as 1\nrouter-id 1.1.1.1\ncoalesce-updates true\n";
+        assert_eq!(
+            DaemonConfig::parse(text).unwrap_err(),
+            "line 3: unknown directive `coalesce-updates`"
+        );
     }
 }

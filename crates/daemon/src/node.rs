@@ -1,13 +1,19 @@
 //! The transport-agnostic daemon node: one [`SessionCore`] per
 //! configured neighbor glued to one [`RoutingCore`].
 //!
-//! This is the same assembly `dbgp-bgp`'s `Speaker` performs for the
-//! simulator, with the connection direction kept visible so a host can
-//! route bytes from two TCP connections (dialed and accepted) into the
-//! right half of each neighbor's core. Both the live reactor
-//! ([`crate::reactor`]) and the in-process oracle ([`crate::oracle`])
-//! drive exactly this type, which is what makes their RIB dumps
-//! comparable byte for byte.
+//! This is the same assembly `dbgp-bgp`'s `Speaker` performs, with the
+//! connection direction kept visible so a host can route bytes from two
+//! TCP connections (dialed and accepted) into the right half of each
+//! neighbor's core. Both the live reactor ([`crate::reactor`]) and the
+//! in-process oracle ([`crate::oracle`]) drive exactly this type, which
+//! is what makes their RIB dumps comparable byte for byte.
+//!
+//! Each decoded UPDATE reaches the routing core as one call, which
+//! returns that message's exports already packed into multi-NLRI
+//! UPDATEs. The frames a node sends therefore depend only on the
+//! sequence of messages it receives, not on how the transport chunked
+//! their bytes: a live daemon and an in-process replay of the same
+//! stream emit identical frames.
 
 use crate::config::DaemonConfig;
 use bytes::Bytes;
@@ -55,13 +61,11 @@ impl Node {
             cores.insert(id, SessionCore::new(ncfg.session.clone()));
             routing.add_peer(id, ncfg);
         }
-        let mut node = Node { cores, routing };
-        node.routing.set_coalesce(cfg.coalesce_updates);
         for prefix in &cfg.networks {
             // No peers are up yet: ops are Best-only and discarded.
-            let _ = node.routing.originate(0, *prefix);
+            let _ = routing.originate(0, *prefix);
         }
-        node
+        Node { cores, routing }
     }
 
     /// Our AS number.
@@ -169,26 +173,6 @@ impl Node {
             let Some(core) = self.cores.get_mut(&id) else { continue };
             let couts = core.poll(now);
             self.absorb(now, id, couts, &mut out);
-        }
-        out
-    }
-
-    /// Enable routing-core update coalescing: UPDATEs stage per peer
-    /// and flush as packed multi-NLRI frames at the host's batching
-    /// boundary (the reactor calls [`flush_pending`](Self::flush_pending)
-    /// once per tick).
-    pub fn set_coalesce(&mut self, on: bool) {
-        self.routing.set_coalesce(on);
-    }
-
-    /// Drain staged routing-core updates into wire frames, in canonical
-    /// (peer, prefix) order. A no-op unless coalescing is on and
-    /// something is staged.
-    pub fn flush_pending(&mut self) -> Vec<NodeOutput> {
-        let mut out = Vec::new();
-        if self.routing.has_pending() {
-            let ops = self.routing.flush_pending();
-            self.absorb_ops(ops, &mut out);
         }
         out
     }

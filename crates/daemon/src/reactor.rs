@@ -161,11 +161,6 @@ impl Reactor {
         let outputs = self.node.poll(now);
         moved |= !outputs.is_empty();
         self.handle(now, outputs);
-        // Coalescing batch boundary: everything staged during this
-        // tick's inputs goes out as packed frames, once per tick.
-        let flushed = self.node.flush_pending();
-        moved |= !flushed.is_empty();
-        self.handle(now, flushed);
         if !self.lingering {
             let due: Vec<PeerId> =
                 self.restart_at.iter().filter(|(_, &at)| at <= now).map(|(&id, _)| id).collect();

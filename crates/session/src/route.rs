@@ -6,7 +6,7 @@ use dbgp_wire::error::{WireError, WireResult};
 use dbgp_wire::Ipv4Addr;
 
 /// A route: everything BGP knows about one path to one prefix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Route {
     /// ORIGIN attribute.
     pub origin: Origin,

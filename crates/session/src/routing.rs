@@ -7,7 +7,16 @@
 //! parsed [`UpdateMsg`]s and peer up/down edges, and it answers with
 //! [`RibOp`]s — UPDATEs to send (unencoded; the host picks the wire
 //! encoding per the peer's negotiated capabilities) and best-route
-//! changes for the host's FIB. The classic speaker (`dbgp-bgp`'s
+//! changes for the host's FIB.
+//!
+//! Every public entry point stages the exports it causes per
+//! (peer, prefix), last write wins, and drains them before returning as
+//! packed multi-NLRI UPDATEs: per peer, withdrawals first, then one
+//! [`UpdateMsg::pack_announcements`] run per exported attribute block,
+//! blocks in first-seen ascending-prefix order. One call handles one
+//! decoded UPDATE (or one peer edge), so the frames a peer receives
+//! depend only on the sequence of inbound messages, never on how the
+//! host's transport chunked the bytes. The classic speaker (`dbgp-bgp`'s
 //! `Speaker`) and the `dbgpd` daemon wrap this core; the simulator does
 //! not, it drives `dbgp-core`'s `DbgpSpeaker`.
 
@@ -21,7 +30,8 @@ use dbgp_telemetry::{SelectionReason, SinkHandle, TraceKind};
 use dbgp_wire::message::UpdateMsg;
 use dbgp_wire::{Ipv4Addr, Ipv4Prefix, WireError};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A RIB-level side effect the host must act on, in order.
@@ -42,9 +52,10 @@ struct PeerEntry {
     summary: Option<SessionSummary>,
 }
 
-/// Staged output toward one peer while coalescing is on. A prefix lives
-/// in at most one of the two sets — each staging action removes it from
-/// the other — so a flush can never both announce and withdraw it.
+/// Exports staged toward one peer during one public call. A prefix
+/// lives in at most one of the two sets — each staging action removes
+/// it from the other — so a drain can never both announce and withdraw
+/// it.
 #[derive(Debug, Default)]
 struct PendingPeer {
     withdraw: BTreeSet<Ipv4Prefix>,
@@ -75,9 +86,8 @@ pub struct RoutingCore {
     /// the (empty) vecs are checked out by `select_best`.
     scratch_arcs: Vec<&'static Arc<Route>>,
     scratch_cands: Vec<Candidate<'static>>,
-    /// When true, announce/withdraw UPDATEs are staged per peer instead
-    /// of being returned, for the host to flush as packed frames.
-    coalesce: bool,
+    /// Exports staged by the current public call; always empty between
+    /// calls (see [`drain_pending`](Self::drain_pending)).
     pending: BTreeMap<PeerId, PendingPeer>,
 }
 
@@ -99,7 +109,6 @@ impl RoutingCore {
             fast_path_hits: 0,
             scratch_arcs: Vec::new(),
             scratch_cands: Vec::new(),
-            coalesce: false,
             pending: BTreeMap::new(),
         }
     }
@@ -126,69 +135,6 @@ impl RoutingCore {
     /// Full decision scans the incremental fast path has avoided.
     pub fn full_scans_avoided(&self) -> u64 {
         self.fast_path_hits
-    }
-
-    /// Enable/disable update coalescing. While on, `RibOp::Announce`
-    /// ops are staged per (peer, prefix) — last write wins — instead of
-    /// being returned; the host drains them with
-    /// [`flush_pending`](Self::flush_pending) at its batching boundary
-    /// (the daemon's reactor tick) as packed multi-NLRI frames.
-    /// `BestRouteChanged` ops still flow immediately. The initial table
-    /// dump at `peer_up` already packs and is not staged.
-    pub fn set_coalesce(&mut self, on: bool) {
-        debug_assert!(
-            on || self.pending.is_empty(),
-            "disable coalescing only after draining pending updates"
-        );
-        self.coalesce = on;
-    }
-
-    /// True when staged updates are waiting to be flushed.
-    pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Drain every staged update into packed UPDATE frames, in
-    /// canonical (peer, prefix) order: withdrawals first (one run of
-    /// [`UpdateMsg::pack_withdrawals`]), then announcements grouped by
-    /// attribute block (one [`UpdateMsg::pack_announcements`] run per
-    /// group, groups in first-seen ascending-prefix order) — the same
-    /// deterministic shape as the initial table dump.
-    pub fn flush_pending(&mut self) -> Vec<RibOp> {
-        let mut out = Vec::new();
-        let pending = std::mem::take(&mut self.pending);
-        for (id, slot) in pending {
-            if !self.is_established(id) {
-                continue;
-            }
-            if !slot.withdraw.is_empty() {
-                let prefixes: Vec<Ipv4Prefix> = slot.withdraw.into_iter().collect();
-                for update in UpdateMsg::pack_withdrawals(&prefixes) {
-                    out.push(RibOp::Announce(id, update));
-                }
-            }
-            if slot.announce.is_empty() {
-                continue;
-            }
-            let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
-            for (prefix, route) in slot.announce {
-                match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &route) || **g == *route) {
-                    Some((_, members)) => members.push(prefix),
-                    None => groups.push((route, vec![prefix])),
-                }
-            }
-            let peer = &self.peers[&id];
-            let four_octet = peer.summary.map(|s| s.four_octet).unwrap_or(false);
-            let ibgp = peer.cfg.is_ibgp();
-            for (route, members) in groups {
-                for update in
-                    UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet)
-                {
-                    out.push(RibOp::Announce(id, update));
-                }
-            }
-        }
-        out
     }
 
     /// Attach a telemetry sink; `node_label` identifies this speaker in
@@ -236,11 +182,9 @@ impl RoutingCore {
         let mut out = Vec::new();
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.summary = Some(summary);
-            // Initial table transfer: advertise our whole view, batching
-            // prefixes that export the same attribute block into shared
-            // multi-NLRI UPDATEs.
-            self.initial_table_dump(id, &mut out);
+            self.initial_table_dump(id);
         }
+        self.drain_pending(&mut out);
         out
     }
 
@@ -251,11 +195,11 @@ impl RoutingCore {
         if let Some(peer) = self.peers.get_mut(&id) {
             peer.summary = None;
             self.adj_out.drop_peer(id);
-            self.pending.remove(&id);
             for prefix in self.adj_in.drop_peer(id) {
                 self.redecide(now, prefix, &mut out);
             }
         }
+        self.drain_pending(&mut out);
         out
     }
 
@@ -272,6 +216,19 @@ impl RoutingCore {
         update: UpdateMsg,
     ) -> (Vec<RibOp>, Option<WireError>) {
         let mut out = Vec::new();
+        let err = self.apply_update(now, id, update, &mut out);
+        self.drain_pending(&mut out);
+        (out, err)
+    }
+
+    /// The body of [`update`](Self::update), before the drain.
+    fn apply_update(
+        &mut self,
+        now: Millis,
+        id: PeerId,
+        update: UpdateMsg,
+        out: &mut Vec<RibOp>,
+    ) -> Option<WireError> {
         let fast = self.incremental && decision::supports_incremental(self.opts);
         for prefix in &update.withdrawn {
             if self.adj_in.remove(id, prefix).is_some() {
@@ -281,19 +238,16 @@ impl RoutingCore {
                     self.fast_path_hits += 1;
                     continue;
                 }
-                self.redecide(now, *prefix, &mut out);
+                self.redecide(now, *prefix, out);
             }
         }
         if update.nlri.is_empty() {
-            return (out, None);
+            return None;
         }
         let Ok(route) = Route::from_attrs(&update.attributes) else {
             // Wire validation already guarantees mandatory attributes;
             // treat any residual failure as a session-level error.
-            return (
-                out,
-                Some(WireError::MissingWellKnownAttribute(dbgp_wire::attrs::code::ORIGIN)),
-            );
+            return Some(WireError::MissingWellKnownAttribute(dbgp_wire::attrs::code::ORIGIN));
         };
         // Receiver-side loop detection (RFC 4271 §9.1.2): a path carrying
         // our own AS is invisible to the decision process.
@@ -309,7 +263,7 @@ impl RoutingCore {
         for prefix in &update.nlri {
             if looped {
                 if self.adj_in.remove(id, prefix).is_some() {
-                    self.redecide(now, *prefix, &mut out);
+                    self.redecide(now, *prefix, out);
                 }
                 continue;
             }
@@ -339,9 +293,9 @@ impl RoutingCore {
                     continue; // rejected and never stored: nothing changes
                 }
             }
-            self.redecide(now, *prefix, &mut out);
+            self.redecide(now, *prefix, out);
         }
-        (out, None)
+        None
     }
 
     /// Originate a prefix locally and propagate it.
@@ -350,6 +304,7 @@ impl RoutingCore {
         let route = Arc::new(Route::originated(self.router_id));
         self.originated.insert(prefix, route);
         self.redecide(now, prefix, &mut out);
+        self.drain_pending(&mut out);
         out
     }
 
@@ -359,6 +314,7 @@ impl RoutingCore {
         if self.originated.remove(&prefix).is_some() {
             self.redecide(now, prefix, &mut out);
         }
+        self.drain_pending(&mut out);
         out
     }
 
@@ -374,7 +330,7 @@ impl RoutingCore {
 
     // ----- internals ----------------------------------------------------
 
-    /// Re-run the decision process for one prefix and propagate any
+    /// Re-run the decision process for one prefix and stage any export
     /// change.
     fn redecide(&mut self, now: Millis, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
         let explain = self.sink.enabled();
@@ -430,7 +386,7 @@ impl RoutingCore {
         let ids: Vec<PeerId> = self.peers.keys().copied().collect();
         for id in ids {
             if self.is_established(id) {
-                self.propagate_to(now, id, prefix, out);
+                self.propagate_to(id, prefix);
             }
         }
     }
@@ -558,66 +514,74 @@ impl RoutingCore {
     }
 
     /// Compute what `peer` should see for `prefix`, diff against
-    /// Adj-RIB-Out, and emit the UPDATE if anything changed.
-    fn propagate_to(&mut self, _now: Millis, id: PeerId, prefix: Ipv4Prefix, out: &mut Vec<RibOp>) {
-        let export = self.export_route(id, &prefix);
-        match export {
+    /// Adj-RIB-Out, and stage the change if anything changed.
+    fn propagate_to(&mut self, id: PeerId, prefix: Ipv4Prefix) {
+        match self.export_route(id, &prefix) {
             Some(route) => {
                 if self.adj_out.advertise(id, prefix, Arc::clone(&route)) {
-                    if self.coalesce {
-                        let slot = self.pending.entry(id).or_default();
-                        slot.withdraw.remove(&prefix);
-                        slot.announce.insert(prefix, route);
-                    } else {
-                        let ibgp = self.peers[&id].cfg.is_ibgp();
-                        let update = UpdateMsg::announce(vec![prefix], route.to_attrs(ibgp));
-                        out.push(RibOp::Announce(id, update));
-                    }
+                    let slot = self.pending.entry(id).or_default();
+                    slot.withdraw.remove(&prefix);
+                    slot.announce.insert(prefix, route);
                 }
             }
             None => {
                 if self.adj_out.withdraw(id, &prefix) {
-                    if self.coalesce {
-                        let slot = self.pending.entry(id).or_default();
-                        slot.announce.remove(&prefix);
-                        slot.withdraw.insert(prefix);
-                    } else {
-                        out.push(RibOp::Announce(id, UpdateMsg::withdraw(vec![prefix])));
-                    }
+                    let slot = self.pending.entry(id).or_default();
+                    slot.announce.remove(&prefix);
+                    slot.withdraw.insert(prefix);
                 }
             }
         }
     }
 
-    /// Initial table transfer toward a freshly-established peer: walk
-    /// the Loc-RIB in prefix order, group prefixes whose exported
-    /// routes are identical, and emit one multi-NLRI UPDATE run per
-    /// group ([`UpdateMsg::pack_announcements`] splits each run at the
-    /// 4096-byte frame limit). Groups keep first-seen (ascending
-    /// prefix) order, so the wire bytes are deterministic.
-    fn initial_table_dump(&mut self, id: PeerId, out: &mut Vec<RibOp>) {
+    /// Initial table transfer toward a freshly-established peer: stage
+    /// our whole exported view for it, for the caller's drain to pack.
+    fn initial_table_dump(&mut self, id: PeerId) {
         let prefixes: Vec<Ipv4Prefix> = self.loc_rib.iter().map(|(p, _)| *p).collect();
-        let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
+        let mut announce = BTreeMap::new();
         for prefix in prefixes {
             let Some(route) = self.export_route(id, &prefix) else { continue };
-            if !self.adj_out.advertise(id, prefix, Arc::clone(&route)) {
-                continue;
-            }
-            // Linear probe over existing groups; distinct attribute
-            // blocks in one table number in the dozens, not thousands,
-            // and ptr_eq short-circuits the interned common case.
-            match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, &route) || **g == *route) {
-                Some((_, members)) => members.push(prefix),
-                None => groups.push((route, vec![prefix])),
+            if self.adj_out.advertise(id, prefix, Arc::clone(&route)) {
+                announce.insert(prefix, route);
             }
         }
-        let peer = &self.peers[&id];
-        let four_octet = peer.summary.map(|s| s.four_octet).unwrap_or(false);
-        let ibgp = peer.cfg.is_ibgp();
-        for (route, members) in groups {
-            for update in UpdateMsg::pack_announcements(&members, route.to_attrs(ibgp), four_octet)
-            {
+        self.pending.insert(id, PendingPeer { announce, ..PendingPeer::default() });
+    }
+
+    /// Drain every staged export into packed UPDATEs, in (peer, prefix)
+    /// order: per peer, withdrawals first (one run of
+    /// [`UpdateMsg::pack_withdrawals`]), then announcements grouped by
+    /// exported route (one [`UpdateMsg::pack_announcements`] run per
+    /// group, split at the 4096-byte frame limit). Groups keep
+    /// first-seen (ascending-prefix) order, so the wire bytes are
+    /// deterministic; a hash index finds each prefix's group in
+    /// constant time however many distinct attribute blocks the
+    /// table holds.
+    fn drain_pending(&mut self, out: &mut Vec<RibOp>) {
+        for (id, slot) in std::mem::take(&mut self.pending) {
+            let peer = &self.peers[&id];
+            let Some(summary) = peer.summary else { continue };
+            let withdrawn: Vec<Ipv4Prefix> = slot.withdraw.into_iter().collect();
+            for update in UpdateMsg::pack_withdrawals(&withdrawn) {
                 out.push(RibOp::Announce(id, update));
+            }
+            let mut index: HashMap<Arc<Route>, usize> = HashMap::new();
+            let mut groups: Vec<(Arc<Route>, Vec<Ipv4Prefix>)> = Vec::new();
+            for (prefix, route) in slot.announce {
+                match index.entry(route) {
+                    Entry::Occupied(e) => groups[*e.get()].1.push(prefix),
+                    Entry::Vacant(e) => {
+                        groups.push((Arc::clone(e.key()), vec![prefix]));
+                        e.insert(groups.len() - 1);
+                    }
+                }
+            }
+            let ibgp = peer.cfg.is_ibgp();
+            for (route, members) in groups {
+                let attrs = route.to_attrs(ibgp);
+                for update in UpdateMsg::pack_announcements(&members, attrs, summary.four_octet) {
+                    out.push(RibOp::Announce(id, update));
+                }
             }
         }
     }
